@@ -16,6 +16,10 @@ class SolverOptions:
     ``max_outer`` counts full ring passes (ring) or outer iterations
     (star/central). ``inner_sweeps`` is the number of (w, lag, R) sweeps a BS
     performs per visit; the distributed algorithms use one per visit.
+    ``power_tol_rel`` only selects the w-step branch: the interior solution
+    is kept while its power is at most ``Pt * (1 + power_tol_rel)``, and
+    otherwise the power constraint is made active. It is not a stopping
+    tolerance; the multiplier is always solved to machine precision.
     """
 
     max_outer: int = 30

@@ -131,7 +131,9 @@ def _one_task(spec: ExperimentSpec, value, solver: str, tag: str, trial: int):
             status="ok",
         )
         return row, report
-    except RuntimeError as exc:  # record the failure, keep the run going
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # record the failure, keep the run going; LinAlgError subclasses
+        # ValueError, but here it is a numerical failure of one trial
         row.update(sum_rate="", min_sindr="", iterations="", converged=0,
                    status=f"error: {exc}")
         return row, None

@@ -8,10 +8,11 @@ the penalized local objective
 where R is the lifted copy of w w^H that makes the amplifier gain G(R) and
 the distortion covariance Cd(R) linear objects:
 
-  * w-step: convex quadratic over the per-BS power ball, solved in closed
-    form with a bisection on the power multiplier. The quartic penalty is
-    majorized using the power budget and a tangent linearization, so the
-    subproblem stays quadratic.
+  * w-step: quartic-regularized quadratic over the per-BS power ball,
+    solved in closed form in the eigenbasis of its quadratic term. The only
+    scalar unknown, the power multiplier, is the root of a monotone secular
+    equation that a safeguarded Newton iteration finds in a handful of O(Nt)
+    evaluations.
   * R-step: the cubic distortion term is linearized by lagging the
     element-wise |F|^2 factor, after which the objective is a strongly convex
     quadratic in R whose stationarity system is solved exactly.
@@ -282,14 +283,55 @@ def w_subproblem_objective(w: np.ndarray, A: np.ndarray, C_blocks: np.ndarray,
     return float(quad + lin + quart)
 
 
+_SECULAR_MAX_ITERS = 100
+_SECULAR_RTOL = 1e-15
+
+
+def _secular_newton(phi, lo: float, hi: float, t: float):
+    """Safeguarded Newton on an increasing secular function.
+
+    ``phi(t)`` returns (value, slope, scale, left), where ``left`` says that
+    t lies left of the root. The bracket [lo, hi] keeps the root; a Newton
+    step that leaves it is replaced by bisection. The search stops at a
+    relative residual |value| <= 1e-15 * scale, at a bracket four ulps wide,
+    or after ``_SECULAR_MAX_ITERS`` evaluations. Returns (t, step, left, hi):
+    the last iterate, its Newton step, its side, and the bracket's right end.
+    """
+    for _ in range(_SECULAR_MAX_ITERS):
+        val, slope, scale, left = phi(t)
+        if left:
+            lo = t
+        else:
+            hi = t
+        step = -val / slope
+        if abs(val) <= _SECULAR_RTOL * scale or hi - lo <= 4.0 * np.spacing(hi):
+            break
+        t_next = t + step
+        t = t_next if lo < t_next < hi else 0.5 * (lo + hi)
+    return t, step, left, hi
+
+
 def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
              opts: SolverOptions, star: StarContext | None = None) -> np.ndarray:
-    """Closed-form w-step with bisection on the power multiplier.
+    """Closed-form w-step with a Newton secular solve for the power multiplier.
 
-    The stationary point satisfies (A + (2 rho ||w||^2 + eta) I) w = -c, so a
-    single scalar bisection on t = 2 rho ||w||^2 + eta covers both the
-    interior case (t self-consistent, eta = 0) and the active case
-    (||w||^2 = Pt, eta >= 0).
+    The stationary point satisfies (A + t I) w = -c with
+    t = 2 rho ||w||^2 + eta. In A's eigenbasis (eigenvalues d_i after the
+    roundoff ridge, a_i = sum_k |(U^H c_k)_i|^2) the power of w(t) is the
+    secular function p(t) = sum_i a_i / (d_i + t)^2, decreasing in t, and
+    each evaluation costs O(Nt). Two scalar equations fix t:
+
+      * interior (eta = 0): the fixed point t = 2 rho p(t), solved as
+        1/sqrt(p(t)) - sqrt(2 rho / t) = 0;
+      * active (||w||^2 = Pt, eta >= 0), taken when the interior power
+        exceeds Pt (1 + power_tol_rel): 1/sqrt(p(t)) - 1/sqrt(Pt) = 0 on
+        t >= 2 rho Pt.
+
+    1/sqrt(p) is nearly linear near the pole t = -d_min, so safeguarded
+    Newton (Moré & Sorensen 1983; Reinsch 1971) converges in a few steps
+    from analytic brackets. Both functions are increasing and concave, so
+    Newton approaches the active root from the infeasible side; a final
+    correction step past the root returns a t with p(t) <= Pt.
     """
     A, C_blocks = w_subproblem_terms(state, ws, pa, star)
     lam, U = np.linalg.eigh(0.5 * (A + A.conj().T))
@@ -303,57 +345,62 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
         if lam[0] < -1e-12 * max(1.0, float(abs(lam[-1]))):
             state.ridge_fallbacks += 1
 
-    if not np.any(np.abs(proj) > 0.0):
+    d = lam + ridge                       # d[0] >= 0
+    a = np.sum(np.abs(proj) ** 2, axis=1)
+    cum = np.cumsum(a)                    # weight of the i+1 smallest d
+    if cum[-1] == 0.0:
         state.eta = 0.0
         state.w = np.zeros_like(state.w)
         return state.w
 
-    def w_of(t: float) -> np.ndarray:
-        scal = 1.0 / (lam + t + ridge)
-        return vec(U @ (-(scal[:, None] * proj)))
+    def secular(t: float):
+        """p(t) = ||w(t)||^2 and q(t) = -p'(t) / 2."""
+        inv = 1.0 / (d + t)
+        ai = a * inv * inv
+        return float(ai.sum()), float((ai * inv).sum())
 
-    def power(t: float) -> float:
-        scal = 1.0 / (lam + t + ridge) ** 2
-        return float(np.sum(scal[:, None] * np.abs(proj) ** 2))
+    def interior(t: float):
+        p, q = secular(t)
+        s, r = 1.0 / np.sqrt(p), np.sqrt(2.0 * rho / t)
+        return s - r, s * q / p + 0.5 * r / t, s, s < r
 
-    def bisect(fun, lo: float, hi: float, target: float):
-        # fun must be decreasing with fun(lo) > 0 > fun(hi)
-        t = hi
-        for _ in range(300):
-            t = 0.5 * (lo + hi)
-            val = fun(t)
-            if abs(val) <= target:
-                break
-            if val > 0.0:
-                lo = t
-            else:
-                hi = t
-        return t, hi
+    # cum[j] / (d[j] + t)^2 <= p(t) <= cum[-1] / (d[0] + t)^2 bracket the
+    # fixed point by the roots of t (d + t)^2 = 2 rho cum
+    x = 0.5 * rho * cum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = float(np.max(np.fmin(np.cbrt(x), x / d ** 2)))
+        hi = float(np.fmin(np.cbrt(4.0 * x[-1]), 4.0 * x[-1] / d[0] ** 2))
+    t_int, _, _, _ = _secular_newton(interior, lo, hi, lo)
 
-    # interior fixed point t = 2 rho ||w(t)||^2 (unique: power is decreasing);
-    # bisected to bracket exhaustion since the tolerance scale is unknown
-    lo = 1e-300
-    hi = 1.0
-    while power(hi) - hi / (2.0 * rho) > 0.0:
-        hi *= 2.0
-    t_int, _ = bisect(lambda t: power(t) - t / (2.0 * rho), lo, hi, 0.0)
-
-    if power(t_int) <= Pt * (1.0 + opts.power_tol_rel):
+    if secular(t_int)[0] <= Pt * (1.0 + opts.power_tol_rel):
         eta = 0.0
         t_star = t_int
     else:
         # power constraint active: ||w||^2 = Pt, t = 2 rho Pt + eta
         base = 2.0 * rho * Pt
-        hi = max(1.0, base)
-        while power(hi) >= Pt:
+        s_pt = 1.0 / np.sqrt(Pt)
+
+        def active(t: float):
+            p, q = secular(t)
+            s = 1.0 / np.sqrt(p)
+            return s - s_pt, s * q / p, s, p > Pt
+
+        lo = max(base, t_int, float(np.max(np.sqrt(cum / Pt) - d)))
+        hi = max(lo, float(np.sqrt(cum[-1] / Pt) - d[0]))
+        while secular(hi)[0] > Pt:
             hi *= 2.0
-        t_star, hi_end = bisect(lambda t: power(t) - Pt, base, hi,
-                                0.5 * opts.power_tol_rel * Pt)
-        if power(t_star) > Pt:
-            t_star = hi_end  # feasible side of the bracket
+        t_star, step, left, hi = _secular_newton(active, lo, hi, lo)
+        if left:
+            # Newton stopped just short of the root: step past it, doubling
+            # the step until feasible (hi is feasible, so this ends)
+            t_root, delta = t_star, max(abs(step), np.spacing(t_star))
+            t_star = min(t_root + delta, hi)
+            while secular(t_star)[0] > Pt:
+                delta *= 2.0
+                t_star = min(t_root + delta, hi)
         eta = max(t_star - base, 0.0)
     state.eta = eta
-    state.w = w_of(t_star)
+    state.w = vec(U @ (-(proj / (d + t_star)[:, None])))
     return state.w
 
 

@@ -137,6 +137,28 @@ def test_solver_abort_recorded_and_run_continues(tmp_path, monkeypatch):
     assert statuses[1] == "ok"
 
 
+def test_linalg_error_recorded_and_run_continues(tmp_path, monkeypatch):
+    from cellfree_dab import harness
+
+    real = harness.run_solver
+
+    def flaky(name, channels, config, mode, opts):
+        if name == "star" and mode.tag == "DAB":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(name, channels, config, mode, opts)
+
+    monkeypatch.setattr(harness, "run_solver", flaky)
+    spec = ExperimentSpec(scenario=desk_profile(rng_seed=4),
+                          solvers=("ring", "star"), modes=("DAB", "DUB"),
+                          trials=1, output_dir=tmp_path, opts=FAST_OPTS)
+    run_experiment(spec)
+    lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
+    assert len(lines) == 5
+    rows = {tuple(line.split(",")[1:3]): line.split(",")[-1] for line in lines[1:]}
+    assert rows.pop(("star", "DAB")) == "error: Eigenvalues did not converge"
+    assert sorted(rows.values()) == ["ok", "ok", "ok"]
+
+
 def test_validate_cli_exits_zero(capsys):
     assert cli_main(["validate"]) == 0
     out = capsys.readouterr().out
