@@ -1,21 +1,19 @@
 """Centralized baseline plus the DAB/DUB/IDEAL design-evaluation modes.
 
-The centralized design cycles the same per-BS penalty-MM blocks as the ring
-solver but recomputes the exact aggregates between blocks instead of carrying
-token-stale copies, making it the exact-information limit of the distributed
-schemes at desk scale (a monolithic joint solve over all BSs at once is
-deliberately out of scope).
+The centralized design runs the ring solver's loop
+(``block_driver.run_blocks``) with two differences: a pass visits the BSs
+in the order 0, ..., B-1, and the FP auxiliaries are refreshed once per pass
+instead of after every visit, so every block of a pass ascends the same
+transformed objective. A monolithic joint solve over all BSs at once is
+deliberately out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fp_core, local_solver
-from .common import SolutionReport, SolverOptions, channel_scale, initial_beamformers
-from .fp_core import FpState, MetricsInputs
+from . import block_driver
+from .common import SolutionReport, SolverOptions, initial_beamformers
 from .pa_model import PaModel
 from .scenario import ChannelSet, SystemConfig
 
@@ -67,70 +65,8 @@ def run_central(channels: ChannelSet, config: SystemConfig,
     """Block-coordinate centralized solve under ``mode.design_pa``."""
     opts = opts or SolverOptions()
     mode = mode or SolveMode.ideal()
-    pa = mode.design_pa
-    B, Nt, K = channels.H.shape
-    Pt = config.power_budget
-    # solve in normalized channel units; rates and beamformers are invariant
-    scale = channel_scale(channels.H)
-    H = channels.H / scale
-    sigma2 = np.asarray(config.sigma2) / scale**2
-
-    W0 = initial_beamformers(H, Pt, pa, sigma2)
-    states = [local_solver.state_from_beamformer(W0[b], opts.rho_init)
-              for b in range(B)]
-
-    def aggregates():
-        contribs = [fp_core.bs_contribution(H[b], states[b].W, pa)
-                    for b in range(B)]
-        Q = np.sum([c[0] for c in contribs], axis=0)
-        p = np.sum([c[1] for c in contribs], axis=0)
-        return Q, p, contribs
-
-    def rate_of(Q, p) -> float:
-        return fp_core.sum_rate(MetricsInputs(Qsum=Q, psum=p, sigma2=sigma2))
-
-    trace = []
-    visit = 0
-    Q, p, contribs = aggregates()
-    rate_prev = rate_of(Q, p)
-    converged = False
-    fp = fp_core.update_fp(MetricsInputs(Qsum=Q, psum=p, sigma2=sigma2))
-
-    for outer in range(1, opts.max_outer + 1):
-        inputs = MetricsInputs(Qsum=Q, psum=p, sigma2=sigma2)
-        fp = fp_core.update_fp(inputs)
-        for b in range(B):
-            Q_hat = Q - contribs[b][0]
-            ws = local_solver.build_workspace(H[b], fp, Nt, K, Q_hat)
-            local_solver.sweep(states[b], ws, pa, Pt, opts)
-            Q, p, contribs = aggregates()
-            visit += 1
-            if opts.collect_traces:
-                trace.append((visit, b, states[b].trace[-1][0],
-                              rate_of(Q, p), states[b].trace[-1][1]))
-        rate = rate_of(Q, p)
-        if not np.isfinite(rate):
-            raise RuntimeError(f"non-finite sum rate at outer iteration {outer}")
-        tight = max(local_solver.penalty_residual(s) for s in states)
-        if (abs(rate - rate_prev) <= opts.tol * max(1.0, abs(rate_prev))
-                and tight <= opts.penalty_resid_tol):
-            converged = True
-            break
-        rate_prev = rate
-
-    W_final = np.stack([s.W for s in states])
-    Q, p, _ = aggregates()
-    return SolutionReport(
-        W=W_final,
-        sum_rate=rate_of(Q, p),
-        fp=FpState(mu=fp.mu, zeta=fp.zeta / scale),  # original channel units
-        iterations=outer,
-        converged=converged,
-        trace=trace,
-        trace_columns=CENTRAL_TRACE_COLUMNS,
-        counters={"visits": visit},
-        diagnostics={
-            "penalty_residuals": [local_solver.penalty_residual(s) for s in states],
-            "ridge_fallbacks": sum(s.ridge_fallbacks for s in states),
-        },
-    )
+    net = block_driver.setup(channels, config, mode.design_pa, opts,
+                             initial_beamformers)
+    B = net.H.shape[0]
+    return block_driver.run_blocks(net, opts, order=range(B), fp_period=B,
+                                   trace_columns=CENTRAL_TRACE_COLUMNS)

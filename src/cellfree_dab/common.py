@@ -16,10 +16,8 @@ class SolverOptions:
     ``max_outer`` counts full ring passes (ring) or outer iterations
     (star/central). ``inner_sweeps`` is the number of (w, lag, R) sweeps a BS
     performs per visit; the distributed algorithms use one per visit.
-    ``power_tol_rel`` only selects the w-step branch: the interior solution
-    is kept while its power is at most ``Pt * (1 + power_tol_rel)``, and
-    otherwise the power constraint is made active. It is not a stopping
-    tolerance; the multiplier is always solved to machine precision.
+    ``tol`` and ``penalty_resid_tol`` (plus ``consensus_tol`` for star) make
+    up the pass-end convergence test.
     """
 
     max_outer: int = 30
@@ -31,10 +29,8 @@ class SolverOptions:
     rho_drop_target: float = 0.10
     residual_guard: float = 1.0
     penalty_resid_tol: float = 1e-3
-    power_tol_rel: float = 1e-8
     varrho: float = 10.0
     consensus_tol: float = 1e-3
-    dual_step_textbook: bool = False
     collect_traces: bool = True
 
     def __post_init__(self):

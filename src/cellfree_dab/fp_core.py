@@ -67,16 +67,25 @@ def bs_contribution(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel):
     return Q, p
 
 
-def build_metrics_inputs(H, W, pa: PaModel, sigma2) -> MetricsInputs:
-    """From-scratch aggregates over all BSs. H, W have shape (B, Nt, K)."""
-    B, _, K = np.asarray(H).shape
-    Qsum = np.zeros((K, K), dtype=complex)
-    psum = np.zeros(K)
-    for b in range(B):
-        Q, p = bs_contribution(H[b], W[b], pa)
+def sum_contributions(Q_parts, p_parts, sigma2) -> MetricsInputs:
+    """Aggregates from per-BS contributions, added one BS after another.
+
+    The fixed order makes the sum reproducible bit for bit: a solver's cache
+    of contributions sums to exactly what ``build_metrics_inputs`` returns
+    for the same beamformers.
+    """
+    Qsum = np.zeros(np.shape(Q_parts[0]), dtype=complex)
+    psum = np.zeros(np.shape(p_parts[0]))
+    for Q, p in zip(Q_parts, p_parts):
         Qsum += Q
         psum += p
     return MetricsInputs(Qsum=Qsum, psum=psum, sigma2=np.asarray(sigma2, dtype=float))
+
+
+def build_metrics_inputs(H, W, pa: PaModel, sigma2) -> MetricsInputs:
+    """From-scratch aggregates over all BSs. H, W have shape (B, Nt, K)."""
+    parts = [bs_contribution(H_b, W_b, pa) for H_b, W_b in zip(H, W)]
+    return sum_contributions([Q for Q, _ in parts], [p for _, p in parts], sigma2)
 
 
 def _denominators(inputs: MetricsInputs):
@@ -128,14 +137,13 @@ def transformed_objective(inputs: MetricsInputs, fp: FpState) -> float:
     return float(const + delta)
 
 
-def local_objective_ring(Q_hat, p_hat, H_b, W_b, pa: PaModel, fp: FpState) -> float:
+def local_objective_ring(Q_hat, H_b, W_b, pa: PaModel, fp: FpState) -> float:
     """Single-BS share of the transformed objective, other BSs frozen.
 
-    Equals the global ``delta`` term up to quantities constant in W_b; p_hat
-    is one of those constants and is accepted only for interface symmetry
-    with the sharing step.
+    Equals the global ``delta`` term up to quantities constant in W_b; the
+    other BSs' distortion is one of those constants, so only their
+    signal/interference aggregate ``Q_hat`` enters.
     """
-    del p_hat
     mu, zeta = fp.mu, fp.zeta
     g = bussgang_gain_diag(W_b, pa)
     A = H_b.conj().T @ (g[:, None] * W_b)  # K x K local contribution

@@ -180,24 +180,12 @@ class LocalSolverState:
         return unvec(self.w, Nt, self.w.size // Nt)
 
 
-def init_beamformer(H_b: np.ndarray, Pt: float) -> np.ndarray:
-    """Matched-filter columns scaled to spend the power budget exactly."""
-    H_b = np.asarray(H_b)
-    K = H_b.shape[1]
-    cols = H_b / np.linalg.norm(H_b, axis=0, keepdims=True)
-    return np.sqrt(Pt / K) * cols
-
-
 def state_from_beamformer(W0_b: np.ndarray, rho: float = 1.0) -> LocalSolverState:
     Nt, K = np.asarray(W0_b).shape
     w0 = vec(W0_b)
     R0 = np.outer(w0, w0.conj())
     return LocalSolverState(w=w0, R=R0, F_abs_sq=lagged_factor(R0, Nt, K),
                             rho=rho)
-
-
-def init_local_state(H_b: np.ndarray, Pt: float, rho: float = 1.0) -> LocalSolverState:
-    return state_from_beamformer(init_beamformer(H_b, Pt), rho)
 
 
 def _diag_block_sum(R: np.ndarray, Nt: int, K: int) -> np.ndarray:
@@ -323,9 +311,8 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
 
       * interior (eta = 0): the fixed point t = 2 rho p(t), solved as
         1/sqrt(p(t)) - sqrt(2 rho / t) = 0;
-      * active (||w||^2 = Pt, eta >= 0), taken when the interior power
-        exceeds Pt (1 + power_tol_rel): 1/sqrt(p(t)) - 1/sqrt(Pt) = 0 on
-        t >= 2 rho Pt.
+      * active (||w||^2 = Pt, eta >= 0), taken whenever the interior power
+        exceeds Pt: 1/sqrt(p(t)) - 1/sqrt(Pt) = 0 on t >= 2 rho Pt.
 
     1/sqrt(p) is nearly linear near the pole t = -d_min, so safeguarded
     Newton (Moré & Sorensen 1983; Reinsch 1971) converges in a few steps
@@ -372,7 +359,7 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
         hi = float(np.fmin(np.cbrt(4.0 * x[-1]), 4.0 * x[-1] / d[0] ** 2))
     t_int, _, _, _ = _secular_newton(interior, lo, hi, lo)
 
-    if secular(t_int)[0] <= Pt * (1.0 + opts.power_tol_rel):
+    if secular(t_int)[0] <= Pt:
         eta = 0.0
         t_star = t_int
     else:
@@ -554,7 +541,7 @@ def true_local_objective(W_b: np.ndarray, ws: Workspace, pa: PaModel,
     from . import fp_core
 
     fp = FpState(mu=ws.mu, zeta=ws.zeta)
-    val = -fp_core.local_objective_ring(ws.Q_other, None, ws.H, W_b, pa, fp)
+    val = -fp_core.local_objective_ring(ws.Q_other, ws.H, W_b, pa, fp)
     if star is not None:
         from .pa_model import bussgang_gain_diag
 
@@ -643,15 +630,3 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
         ))
     return state
 
-
-def dump_local_trace(state: LocalSolverState, path):
-    """CSV rows (objective, penalty_residual, eta, rho, hermitian_deviation)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["objective", "penalty_residual", "eta", "rho", "hermitian_deviation"]
-        )
-        for row in state.trace:
-            writer.writerow([repr(float(x)) for x in row])

@@ -32,24 +32,6 @@ class PaModel:
         return self.beta3 == 0
 
 
-@dataclass
-class DistortionStats:
-    """Linear gain G (diagonal) and distortion covariance Cd for one BS."""
-
-    G: np.ndarray   # (Nt, Nt) complex diagonal
-    Cd: np.ndarray  # (Nt, Nt) complex Hermitian PSD
-
-
-@dataclass
-class SignalBlock:
-    """One decomposed transmission: x = W s, z = amplify(x), d = z - G x."""
-
-    x: np.ndarray
-    z: np.ndarray
-    d: np.ndarray
-    s: np.ndarray | None = None
-
-
 def amplify(x: np.ndarray, pa: PaModel) -> np.ndarray:
     """Element-wise nonlinear amplification."""
     x = np.asarray(x)
@@ -79,14 +61,3 @@ def distortion_cov(W: np.ndarray, pa: PaModel) -> np.ndarray:
     C = W @ W.conj().T
     return 2.0 * np.abs(pa.beta3) ** 2 * (C * np.abs(C) ** 2)
 
-
-def distortion_stats(W: np.ndarray, pa: PaModel) -> DistortionStats:
-    return DistortionStats(G=bussgang_gain(W, pa), Cd=distortion_cov(W, pa))
-
-
-def decompose(x: np.ndarray, W: np.ndarray, pa: PaModel, s=None) -> SignalBlock:
-    """Split the amplifier output into the linear term plus the residual."""
-    z = amplify(x, pa)
-    G = bussgang_gain(W, pa)
-    d = z - G @ np.asarray(x)
-    return SignalBlock(x=np.asarray(x), z=z, d=d, s=s)

@@ -1,22 +1,18 @@
 """Ring-topology fully-distributed solver: token-passing of (Q, p).
 
 A single token carrying the K x K aggregate Q and the K-vector p circulates
-through the BSs. The visited BS subtracts its cached contribution, runs one
-penalty-MM sweep on its local problem, refreshes the FP auxiliaries from the
-updated aggregates, adds its fresh contribution back, and forwards the token.
-The token is strictly sequential; concurrency exists only across independent
-scenario trials.
+through the BSs in the order 1, ..., B-1, 0. The visited BS subtracts its
+cached contribution, runs one penalty-MM sweep on its local problem, adds its
+fresh contribution back, refreshes the FP auxiliaries from the token, and
+forwards it. The loop is ``block_driver.run_blocks``, shared with the
+centralized baseline. The token is strictly sequential; concurrency exists
+only across independent scenario trials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from . import fp_core, local_solver
-from .common import SolutionReport, SolverOptions, channel_scale, initial_beamformers
-from .fp_core import FpState, MetricsInputs
+from . import block_driver, metrics
+from .common import SolutionReport, SolverOptions, initial_beamformers
 from .pa_model import PaModel
 from .scenario import ChannelSet, SystemConfig
 
@@ -30,150 +26,15 @@ RING_TRACE_COLUMNS = (
 )
 
 
-@dataclass
-class RingGlobalState:
-    """The token payload: aggregate signal/interference and distortion."""
-
-    Q: np.ndarray  # (K, K) complex
-    p: np.ndarray  # (K,) complex, imaginary part ~ 0
-
-
-@dataclass
-class LocalView:
-    """What a BS sees after removing itself from the token."""
-
-    Q_hat: np.ndarray
-    p_hat: np.ndarray
-    cached_Q_contrib: np.ndarray
-    cached_p_contrib: np.ndarray
-
-
-def extract_local(Q: np.ndarray, p: np.ndarray, cache) -> LocalView:
-    """Subtract this BS's cached contribution from the incoming token."""
-    Q_contrib, p_contrib = cache
-    return LocalView(
-        Q_hat=np.asarray(Q) - Q_contrib,
-        p_hat=np.asarray(p) - p_contrib,
-        cached_Q_contrib=np.asarray(Q_contrib),
-        cached_p_contrib=np.asarray(p_contrib),
-    )
-
-
-def write_back(view: LocalView, H_b: np.ndarray, W_b_new: np.ndarray,
-               pa: PaModel):
-    """Add the fresh contribution; refresh the cache held in the view."""
-    Q_c, p_c = fp_core.bs_contribution(H_b, W_b_new, pa)
-    view.cached_Q_contrib = Q_c
-    view.cached_p_contrib = p_c.astype(complex)
-    return view.Q_hat + Q_c, view.p_hat + view.cached_p_contrib
-
-
-def message_size(K: int) -> int:
-    """Complex values relayed per token hop."""
-    return K * K + K
-
-
-def token_message(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Wire layout of one hop: row-major Q followed by p."""
-    return np.concatenate([np.asarray(Q).reshape(-1), np.asarray(p)])
-
-
-def parse_token_message(msg: np.ndarray, K: int):
-    msg = np.asarray(msg)
-    if msg.size != message_size(K):
-        raise ValueError(f"token message must carry {message_size(K)} values")
-    return msg[:K * K].reshape(K, K), msg[K * K:]
-
-
 def run_ring(channels: ChannelSet, config: SystemConfig, pa: PaModel,
              opts: SolverOptions | None = None) -> SolutionReport:
     """Token-passing solve; ``opts.max_outer`` counts full ring passes."""
     opts = opts or SolverOptions()
-    B, Nt, K = channels.H.shape
-    Pt = config.power_budget
-    # solve in normalized channel units; rates and beamformers are invariant
-    scale = channel_scale(channels.H)
-    H = channels.H / scale
-    sigma2 = np.asarray(config.sigma2) / scale**2
-
-    W0 = initial_beamformers(H, Pt, pa, sigma2)
-    states = [local_solver.state_from_beamformer(W0[b], opts.rho_init)
-              for b in range(B)]
-
-    contribs = [fp_core.bs_contribution(H[b], states[b].W, pa) for b in range(B)]
-    caches = [(Q_c, p_c.astype(complex)) for Q_c, p_c in contribs]
-    Q = np.sum([c[0] for c in caches], axis=0)
-    p = np.sum([c[1] for c in caches], axis=0)
-
-    def fp_from(Q_now, p_now) -> FpState:
-        inputs = MetricsInputs(Qsum=Q_now, psum=np.real(p_now), sigma2=sigma2)
-        return fp_core.update_fp(inputs)
-
-    def from_scratch() -> MetricsInputs:
-        W_all = np.stack([s.W for s in states])
-        return fp_core.build_metrics_inputs(H, W_all, pa, sigma2)
-
-    def current_rate() -> float:
-        return fp_core.sum_rate(from_scratch())
-
-    fp = fp_from(Q, p)
-    trace = []
-    exchanged = 0
-    consistency_err = 0.0
-    rate_prev_pass = current_rate()
-    converged = False
-    passes = 0
-
-    for t in range(1, B * opts.max_outer + 1):
-        b = t % B
-        view = extract_local(Q, p, caches[b])
-        ws = local_solver.build_workspace(H[b], fp, Nt, K, view.Q_hat)
-        local_solver.sweep(states[b], ws, pa, Pt, opts)
-        Q, p = write_back(view, H[b], states[b].W, pa)
-        caches[b] = (view.cached_Q_contrib, view.cached_p_contrib)
-        fp = fp_from(Q, p)
-        exchanged += message_size(K)
-
-        exact = from_scratch()
-        consistency_err = max(
-            consistency_err,
-            np.linalg.norm(Q - exact.Qsum) / max(np.linalg.norm(exact.Qsum), 1e-300),
-            np.linalg.norm(np.real(p) - exact.psum)
-            / max(np.linalg.norm(exact.psum), 1e-300),
-        )
-        rate = fp_core.sum_rate(exact)
-        if not np.isfinite(rate):
-            raise RuntimeError(f"non-finite sum rate at visit {t}; trace={trace[-3:]}")
-        if opts.collect_traces:
-            trace.append((t, b, states[b].trace[-1][0], rate,
-                          states[b].trace[-1][1], exchanged))
-
-        if t % B == 0:
-            passes = t // B
-            tight = max(local_solver.penalty_residual(s) for s in states)
-            if (abs(rate - rate_prev_pass) <= opts.tol * max(1.0, abs(rate_prev_pass))
-                    and tight <= opts.penalty_resid_tol):
-                converged = True
-                break
-            rate_prev_pass = rate
-
-    W_final = np.stack([s.W for s in states])
-    return SolutionReport(
-        W=W_final,
-        sum_rate=current_rate(),
-        fp=FpState(mu=fp.mu, zeta=fp.zeta / scale),  # original channel units
-        iterations=passes if passes else (t + B - 1) // B,
-        converged=converged,
-        trace=trace,
-        trace_columns=RING_TRACE_COLUMNS,
-        counters={"exchanged_complex_values": exchanged, "visits": t},
-        diagnostics={
-            "global_state": RingGlobalState(Q=Q, p=p),
-            "hermitian_deviation_max": max(
-                (row[4] for s in states for row in s.trace), default=0.0
-            ),
-            "consistency_error_max": consistency_err,
-            "penalty_residuals": [local_solver.penalty_residual(s) for s in states],
-            "ridge_fallbacks": sum(s.ridge_fallbacks for s in states),
-        },
-    )
+    net = block_driver.setup(channels, config, pa, opts, initial_beamformers)
+    B, _, K = net.H.shape
+    report = block_driver.run_blocks(net, opts, order=[*range(1, B), 0],
+                                     fp_period=1,
+                                     trace_columns=RING_TRACE_COLUMNS)
+    report.counters["exchanged_complex_values"] = metrics.overhead_ring(
+        K, report.counters["visits"])
+    return report

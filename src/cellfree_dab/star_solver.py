@@ -6,17 +6,17 @@ form, shares the other-BS interference sums, refreshes the FP auxiliaries,
 and distributes; the BSs then run their penalty-MM sweeps with the consensus
 augmented-Lagrangian term, update their duals, and re-report. The per-BS
 solves within one iteration are independent (the loop is sequential here;
-trial-level parallelism lives in the harness).
+trial-level parallelism lives in the harness). Set-up, the BSs' reports
+(the contribution cache), the convergence test and the report come from
+``block_driver``, shared with the ring and central solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from . import fp_core, local_solver
-from .common import SolutionReport, SolverOptions, channel_scale, initial_beamformers
+from . import block_driver, fp_core, local_solver, metrics
+from .common import SolutionReport, SolverOptions, initial_beamformers
 from .fp_core import FpState, MetricsInputs
 from .local_solver import StarContext, vec
 from .pa_model import PaModel, bussgang_gain_diag
@@ -29,23 +29,6 @@ STAR_TRACE_COLUMNS = (
     "download_cum",
     "upload_cum",
 )
-
-
-@dataclass
-class StarState:
-    """Center-side view of the consensus variables."""
-
-    Q_L: np.ndarray      # (B, K, K) local reports
-    p_L: np.ndarray      # (B, K) real distortion reports
-    Q_C: np.ndarray      # (B, K, K) consensus copies
-    Q_tilde: np.ndarray  # (B, K, K) other-BS aggregates
-    lam: np.ndarray      # (B, K^2) duals
-    varrho: float = 10.0
-
-
-def local_report(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel):
-    """(H^H G W, diag(H^H Cd H)) computed at the BS."""
-    return fp_core.bs_contribution(H_b, W_b, pa)
 
 
 def aggregate(Q_L, lam, fp: FpState, varrho: float) -> np.ndarray:
@@ -92,13 +75,11 @@ def interference_share(Q_C) -> np.ndarray:
     return Q_C.sum(axis=0)[None, :, :] - Q_C
 
 
-def dual_update(lam_b, Q_C_b, H_b, W_b, pa: PaModel, varrho: float,
-                textbook: bool = False) -> np.ndarray:
-    """Ascend the dual on the consensus residual (half-step by default)."""
+def dual_update(lam_b, Q_C_b, H_b, W_b, pa: PaModel, varrho: float) -> np.ndarray:
+    """Ascend the dual on the consensus residual with a half step."""
     g = bussgang_gain_diag(W_b, pa)
     resid = vec(np.asarray(Q_C_b)) - vec(H_b.conj().T @ (g[:, None] * W_b))
-    step = varrho if textbook else 0.5 * varrho
-    return np.asarray(lam_b) + step * resid
+    return np.asarray(lam_b) + 0.5 * varrho * resid
 
 
 def consensus_residual(Q_C, Q_L) -> float:
@@ -110,48 +91,25 @@ def consensus_residual(Q_C, Q_L) -> float:
     return float(max(per_bs))
 
 
-def download_size(B: int, K: int) -> int:
-    return B * (2 * K * K + 2 * K)
-
-
-def upload_size(B: int, K: int) -> int:
-    return B * (2 * K * K + K)
-
-
 def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
              opts: SolverOptions | None = None) -> SolutionReport:
+    """Consensus-ADMM solve; ``opts.max_outer`` counts outer iterations."""
     opts = opts or SolverOptions()
-    B, Nt, K = channels.H.shape
-    Pt = config.power_budget
-    # solve in normalized channel units; rates and beamformers are invariant
-    scale = channel_scale(channels.H)
-    H = channels.H / scale
-    sigma2 = np.asarray(config.sigma2) / scale**2
-    varrho = opts.varrho
-
-    W0 = initial_beamformers(H, Pt, pa, sigma2)
-    states = [local_solver.state_from_beamformer(W0[b], opts.rho_init)
-              for b in range(B)]
-    reports = [local_report(H[b], states[b].W, pa) for b in range(B)]
-    Q_L = np.stack([r[0] for r in reports])
-    p_L = np.stack([r[1] for r in reports])
+    net = block_driver.setup(channels, config, pa, opts, initial_beamformers)
+    H, states, varrho = net.H, net.states, opts.varrho
+    B, Nt, K = H.shape
+    Q_L, p_L = net.Q_parts, net.p_parts  # the BSs' latest reports
     Q_C = Q_L.copy()
     lam = np.zeros((B, K * K), dtype=complex)
 
     def fp_from(Q_C_now, p_L_now) -> FpState:
         inputs = MetricsInputs(Qsum=Q_C_now.sum(axis=0),
-                               psum=p_L_now.sum(axis=0), sigma2=sigma2)
+                               psum=p_L_now.sum(axis=0), sigma2=net.sigma2)
         return fp_core.update_fp(inputs)
-
-    def current_rate() -> float:
-        W_all = np.stack([s.W for s in states])
-        return fp_core.sum_rate(fp_core.build_metrics_inputs(H, W_all, pa, sigma2))
 
     fp = fp_from(Q_C, p_L)
     trace = []
-    download = upload = 0
-    rate_prev = current_rate()
-    converged = False
+    rate_prev = net.rate()
     rejected_iterations = 0
     residual_trace = []
 
@@ -163,22 +121,20 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
         Q_C = aggregate(Q_L, lam, fp, varrho)
         Q_tilde = interference_share(Q_C)
         fp = fp_from(Q_C, p_L)
-        download += download_size(B, K)
 
         for b in range(B):
             ctx = StarContext(Q_C=Q_C[b], lam=lam[b], varrho=varrho)
             ws = local_solver.build_workspace(H[b], fp, Nt, K, Q_tilde[b])
-            local_solver.sweep(states[b], ws, pa, Pt, opts, ctx)
-            lam[b] = dual_update(lam[b], Q_C[b], H[b], states[b].W, pa,
-                                 varrho, opts.dual_step_textbook)
-            Q_L[b], p_L[b] = local_report(H[b], states[b].W, pa)
-        upload += upload_size(B, K)
+            local_solver.sweep(states[b], ws, pa, net.Pt, opts, ctx)
+            lam[b] = dual_update(lam[b], Q_C[b], H[b], states[b].W, pa, varrho)
+            net.refresh(b)
 
-        rate = current_rate()
+        rate = net.rate()
         if rate < rate_prev - 1e-9 * max(1.0, abs(rate_prev)):
             # consensus-lagged FP weights can overshoot; retract the whole
-            # iteration and shrink every BS's trust region
-            saved_states, lam, Q_L, p_L, Q_C, fp = snapshot
+            # iteration and shrink every BS's trust region (the reports are
+            # the driver's cache, so they are restored in place)
+            saved_states, lam, Q_L[:], p_L[:], Q_C, fp = snapshot
             for s, vals in zip(states, saved_states):
                 s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual = vals
                 s.rho = min(s.rho * 10.0, opts.rho_cap)
@@ -189,40 +145,30 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
         residual_trace.append(resid)
         if not np.isfinite(rate):
             raise RuntimeError(f"non-finite sum rate at iteration {it}")
+        download, upload, total = metrics.overhead_star(B, K, it)
         if opts.collect_traces:
             trace.append((it, rate, resid, download, upload))
 
-        tight = max(local_solver.penalty_residual(s) for s in states)
-        if (abs(rate - rate_prev) <= opts.tol * max(1.0, abs(rate_prev))
-                and resid <= opts.consensus_tol
-                and tight <= opts.penalty_resid_tol):
-            converged = True
+        done = (resid <= opts.consensus_tol
+                and block_driver.converged(rate, rate_prev, states, opts))
+        if done:
             break
         rate_prev = rate
 
-    W_final = np.stack([s.W for s in states])
-    return SolutionReport(
-        W=W_final,
-        sum_rate=current_rate(),
-        fp=FpState(mu=fp.mu, zeta=fp.zeta / scale),  # original channel units
-        iterations=it,
-        converged=converged,
-        trace=trace,
-        trace_columns=STAR_TRACE_COLUMNS,
+    return net.report(
+        fp, it, done, trace, STAR_TRACE_COLUMNS,
         counters={
             "download_values": download,
             "upload_values": upload,
-            "total_values": download + upload,
+            "total_values": total,
             "iterations": it,
         },
         diagnostics={
-            "state": StarState(Q_L=Q_L, p_L=p_L, Q_C=Q_C,
-                               Q_tilde=interference_share(Q_C), lam=lam,
-                               varrho=varrho),
-            "consensus_residual": residual_trace[-1] if residual_trace else np.nan,
+            "state": {"Q_L": Q_L, "p_L": p_L, "Q_C": Q_C,
+                      "Q_tilde": interference_share(Q_C), "lam": lam,
+                      "varrho": varrho},
+            "consensus_residual": residual_trace[-1],
             "consensus_residual_trace": residual_trace,
-            "penalty_residuals": [local_solver.penalty_residual(s) for s in states],
-            "ridge_fallbacks": sum(s.ridge_fallbacks for s in states),
             "rejected_iterations": rejected_iterations,
         },
     )

@@ -1,0 +1,60 @@
+"""The benchmark's span tracer still reaches the layers it reports.
+
+``perfbench/tracer.py`` times library calls by replacing module attributes
+(``TRACED``), so a call that stops going through the patched module global
+silently drops out of ``perfbench/run.py --trace 1``. This runs one short
+solve per solver under the tracer and checks the spans it records.
+"""
+
+import importlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+from cellfree_dab import SolveMode, harness
+from cellfree_dab.common import SolverOptions
+from cellfree_dab.pa_model import PaModel
+from cellfree_dab.scenario import desk_profile, make_scenario
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracer():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_traced_solves_record_setup_and_sweeps():
+    tracer = load_tracer()
+    bindings = [(importlib.import_module(f"{tracer.PACKAGE}.{module}"), attr)
+                for module, attr, _ in tracer.TRACED]
+    missing = [f"{m.__name__}.{a}" for m, a in bindings if not hasattr(m, a)]
+    assert missing == []
+    before = [getattr(m, a) for m, a in bindings]
+
+    pa = PaModel.reference()
+    cfg = desk_profile(rng_seed=0)
+    _, channels = make_scenario(cfg)
+    opts = SolverOptions(max_outer=1)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for solver in harness.SOLVERS:
+            harness.run_solver(solver, channels, cfg, SolveMode.dab(pa), opts)
+        buffers = t.drain()
+    finally:
+        t.restore()
+    assert [getattr(m, a) for m, a in bindings] == before
+
+    spans = [span for buf in buffers for span in buf]
+    solves = {s.solve for s in spans if s.name == tracer.SOLVE_ROOT}
+    assert len(solves) == len(harness.SOLVERS)
+    setups = Counter(s.solve for s in spans
+                     if s.name == "common.initial_beamformers")
+    sweeps = Counter(s.solve for s in spans if s.name == "local_solver.sweep")
+    for solve in solves:
+        assert setups[solve] == 1
+        assert sweeps[solve] >= 1

@@ -149,12 +149,12 @@ def test_local_objective_offset_invariance():
     H = rand_c(rng, B, Nt, K)
     W = rand_c(rng, B, Nt, K, scale=0.5)
     fp = FpState(mu=rng.uniform(0.1, 2, K), zeta=rand_c(rng, K, scale=0.7))
-    Q_hat, p_hat = bs_contribution(H[1], W[1], pa)
+    Q_hat, _ = bs_contribution(H[1], W[1], pa)
     for _ in range(5):
         Wb_a = rand_c(rng, Nt, K, scale=0.5)
         Wb_b = rand_c(rng, Nt, K, scale=0.5)
-        d_local = (local_objective_ring(Q_hat, p_hat, H[0], Wb_a, pa, fp)
-                   - local_objective_ring(Q_hat, p_hat, H[0], Wb_b, pa, fp))
+        d_local = (local_objective_ring(Q_hat, H[0], Wb_a, pa, fp)
+                   - local_objective_ring(Q_hat, H[0], Wb_b, pa, fp))
         Wa, Wb = W.copy(), W.copy()
         Wa[0], Wb[0] = Wb_a, Wb_b
         d_global = delta_value(H, Wa, pa, fp) - delta_value(H, Wb, pa, fp)
@@ -167,7 +167,7 @@ def test_local_objective_zero_zeta():
     H = rand_c(rng, 3, 2)
     W = rand_c(rng, 3, 2)
     fp = FpState(mu=np.ones(2), zeta=np.zeros(2, dtype=complex))
-    assert local_objective_ring(np.zeros((2, 2)), np.zeros(2), H, W, pa, fp) == 0.0
+    assert local_objective_ring(np.zeros((2, 2)), H, W, pa, fp) == 0.0
 
 
 def test_central_objective_star_cases():

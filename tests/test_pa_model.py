@@ -6,7 +6,6 @@ from cellfree_dab.pa_model import (
     amplify,
     bussgang_gain,
     bussgang_gain_diag,
-    decompose,
     distortion_cov,
 )
 
@@ -74,20 +73,6 @@ def test_gain_diagonality_and_cd_structure():
     assert np.linalg.norm(Cd - Cd.conj().T) < 1e-10 * np.linalg.norm(Cd)
     eigs = np.linalg.eigvalsh(0.5 * (Cd + Cd.conj().T))
     assert eigs.min() >= -1e-10 * np.linalg.norm(Cd)
-
-
-def test_decompose_residual_definition():
-    rng = np.random.default_rng(1)
-    pa = PaModel.reference()
-    W = rand_c(rng, 4, 2, scale=0.7)
-    s = gaussian_symbols(rng, 2, 1)[:, 0]
-    x = W @ s
-    block = decompose(x, W, pa, s=s)
-    assert np.allclose(block.d, block.z - bussgang_gain(W, pa) @ x)
-    ideal = decompose(x, W, PaModel.ideal())
-    assert np.allclose(ideal.d, 0.0)
-    zero = decompose(np.zeros(4), W, pa)
-    assert np.allclose(zero.z, 0.0) and np.allclose(zero.d, 0.0)
 
 
 class TestMonteCarloMoments:

@@ -32,13 +32,13 @@ def bisect_to_exhaustion(left, lo, hi):
             hi = mid
 
 
-def reference_w_step(A, C_blocks, rho, Pt, power_tol_rel):
+def reference_w_step(A, C_blocks, rho, Pt):
     """(w, eta, t) of the w-step, with t found by exhaustive bisection.
 
     Same eigenbasis, roundoff ridge and interior/active rule as ``update_w``:
     the interior fixed point t = 2 rho p(t) is taken unless its power
-    exceeds Pt (1 + power_tol_rel); then t solves p(t) = Pt on
-    t >= 2 rho Pt, from the feasible end of the final bracket.
+    exceeds Pt; then t solves p(t) = Pt on t >= 2 rho Pt, from the feasible
+    end of the final bracket.
     """
     lam, U = np.linalg.eigh(0.5 * (A + A.conj().T))
     proj = U.conj().T @ C_blocks
@@ -53,7 +53,7 @@ def reference_w_step(A, C_blocks, rho, Pt, power_tol_rel):
         hi *= 2.0
     _, t = bisect_to_exhaustion(lambda t: power(t) > t / (2.0 * rho), 0.0, hi)
     eta = 0.0
-    if power(t) > Pt * (1.0 + power_tol_rel):
+    if power(t) > Pt:
         base = 2.0 * rho * Pt
         hi = max(1.0, base)
         while power(hi) > Pt:
@@ -93,8 +93,7 @@ def test_update_w_matches_bisection_oracle():
     for i in range(240):
         state, ws, pa, ctx, Pt = random_instance(rng, star=i % 3 == 0)
         A, C = ls.w_subproblem_terms(state, ws, pa, ctx)
-        w_ref, eta_ref, _ = reference_w_step(A, C, state.rho, Pt,
-                                             opts.power_tol_rel)
+        w_ref, eta_ref, _ = reference_w_step(A, C, state.rho, Pt)
         w = ls.update_w(state, ws, pa, Pt, opts, ctx)
         assert np.linalg.norm(w - w_ref) <= MATCH_RTOL * np.linalg.norm(w_ref)
         assert abs(state.eta - eta_ref) <= MATCH_RTOL * eta_ref
@@ -118,10 +117,29 @@ def test_update_w_matches_oracle_on_rank_deficient_paper_shape():
         state = ls.state_from_beamformer(rand_c(rng, Nt, K, scale=0.3),
                                          rho=float(10.0 ** rng.uniform(-3, 6)))
         A, C = ls.w_subproblem_terms(state, ws, PaModel.reference())
-        w_ref, eta_ref, _ = reference_w_step(A, C, state.rho, Pt,
-                                             opts.power_tol_rel)
+        w_ref, eta_ref, _ = reference_w_step(A, C, state.rho, Pt)
         w = ls.update_w(state, ws, PaModel.reference(), Pt, opts)
         ridged += int(np.linalg.eigvalsh(0.5 * (A + A.conj().T))[0] < 0.0)
         assert np.linalg.norm(w - w_ref) <= MATCH_RTOL * np.linalg.norm(w_ref)
         assert abs(state.eta - eta_ref) <= MATCH_RTOL * eta_ref
     assert ridged >= 8
+
+
+def test_update_w_stays_within_budget_just_below_interior_power():
+    # Pt a hair below the interior solution's power: the active branch must
+    # be taken, so the beamformer never exceeds the budget
+    rng = np.random.default_rng(77)
+    opts = SolverOptions()
+    for i in range(200):
+        state, ws, pa, ctx, _ = random_instance(rng, star=i % 2 == 0)
+        A, C = ls.w_subproblem_terms(state, ws, pa, ctx)
+        w_int, _, _ = reference_w_step(A, C, state.rho, np.inf)
+        p_int = float(np.linalg.norm(w_int) ** 2)
+        if p_int == 0.0:
+            continue
+        Pt = p_int * (1.0 - 10.0 ** rng.uniform(-13.0, -9.0))
+        w_ref, eta_ref, _ = reference_w_step(A, C, state.rho, Pt)
+        w = ls.update_w(state, ws, pa, Pt, opts, ctx)
+        assert np.linalg.norm(w) ** 2 <= Pt * (1.0 + 1e-14)
+        assert state.eta > 0.0 and eta_ref > 0.0
+        assert np.linalg.norm(w - w_ref) <= MATCH_RTOL * np.linalg.norm(w_ref)

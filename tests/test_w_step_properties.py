@@ -46,8 +46,7 @@ def test_w_step_properties(Nt, K, pt_dbm, beta3, log_rho, star, seed):
     eta = state.eta
 
     assert np.all(np.isfinite(w))
-    # the interior branch is accepted up to the power_tol_rel band
-    assert power <= Pt * (1.0 + OPTS.power_tol_rel)
+    assert power <= Pt * (1.0 + 1e-14)
     assert eta >= 0.0
     if eta > 0.0:
         assert abs(power - Pt) <= 1e-12 * Pt
