@@ -55,8 +55,12 @@ def bs_contribution(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel):
     """One BS's (Q, p) contribution: (H^H G W, diag(H^H Cd H)).
 
     Returns the K x K complex signal/interference block and the real K-vector
-    of received distortion powers.
+    of received distortion powers. The inputs are made C-contiguous first:
+    BLAS sums in a layout-dependent order, and the solvers pass column-major
+    views where ``metrics.evaluate`` passes row-major stacks, so without it
+    the same beamformer could give different last bits.
     """
+    H_b, W_b = np.ascontiguousarray(H_b), np.ascontiguousarray(W_b)
     g = bussgang_gain_diag(W_b, pa)
     Q = H_b.conj().T @ (g[:, None] * W_b)
     if pa.is_ideal:

@@ -23,8 +23,13 @@ optional ``StarContext`` (consensus copy, dual, and its penalty).
 
 The R-step stationarity system is block-sparse: the gain chain only senses
 the diagonal entries of R's K diagonal blocks, and the (lagged) distortion
-chain only the diagonal blocks. ``update_R`` exploits that structure; the
-dense system is available from ``build_r_system`` for verification.
+chain only the diagonal blocks. Its diagonal part is 1 1^T kron M with one
+Nt x Nt block M, so ``update_R`` solves a single Nt x Nt system for the sum
+of the diagonal's K blocks and writes every other entry in closed form. R is
+kept in that structured form (``Lift``) and read only through it, so a visit
+costs O(Nt^3 + Nt^2 K) time and O(Nt^2 + Nt K) memory; the (Nt K)^2 dense
+reference (expansion, stationarity system, objective, lifting matrix) lives
+in ``validate``.
 """
 
 from __future__ import annotations
@@ -45,44 +50,6 @@ def vec(M: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v).reshape(rows, cols, order="F")
-
-
-def block_sum_selector(Nt: int, K: int) -> np.ndarray:
-    """The (Nt*K) x Nt selector whose sandwich sums the K diagonal blocks."""
-    return np.tile(np.eye(Nt), (K, 1))
-
-
-def gain_lifting_matrix(Nt: int, K: int) -> np.ndarray:
-    """0/1 matrix mapping vec(G) of a diagonal Nt x Nt G to vec(I_K kron G).
-
-    Built by composing diagonal extraction, tiling, and truncation; only used
-    by verification code (solvers use the equivalent index arithmetic).
-    """
-    a = np.zeros(Nt + 1)
-    a[0] = 1.0
-    b = np.zeros(Nt * K + 1)
-    b[0] = 1.0
-    A1 = np.kron(np.eye(Nt), a[None, :])
-    A2 = np.vstack([np.eye(Nt * Nt), np.zeros((Nt, Nt * Nt))])
-    A_diag = A1 @ A2                       # extracts diag(G) from vec(G)
-    B1 = np.kron(A_diag, b[:, None])
-    B2 = np.tile(B1, (K, 1))
-    B3 = np.hstack(
-        [np.eye(Nt * Nt * K * K), np.zeros((Nt * Nt * K * K, Nt * K))]
-    )
-    return B3 @ B2
-
-
-def gain_jacobian(pa: PaModel, Nt: int, K: int) -> np.ndarray:
-    """d vec(G) / d vec(R) for the linearized gain, shape Nt^2 x (Nt K)^2."""
-    E1 = block_sum_selector(Nt, K)
-    N = Nt * K
-    return (
-        2.0
-        * pa.beta3
-        * np.kron(E1.T, E1.T)
-        @ np.diag(vec(np.eye(N)))
-    )
 
 
 @dataclass
@@ -113,27 +80,6 @@ class Workspace:
         # e_j = sum_k |zeta_k|^2 Q_other[k, j] h_k
         self.interf = vec(self.H @ (aw[:, None] * self.Q_other))
 
-    # Dense views used only by verification code.
-    @property
-    def selector(self) -> np.ndarray:
-        return block_sum_selector(self.Nt, self.K)
-
-    @property
-    def useful_weight_matrix(self) -> np.ndarray:
-        return np.diag(np.repeat(self.useful_weight, self.Nt))
-
-    @property
-    def chan_gram_big(self) -> np.ndarray:
-        return np.kron(np.eye(self.K), self.chan_gram)
-
-    @property
-    def zeta_block_diag(self) -> np.ndarray:
-        return np.diag(np.repeat(self.zeta, self.Nt))
-
-    @property
-    def lifting(self) -> np.ndarray:
-        return gain_lifting_matrix(self.Nt, self.K)
-
 
 def build_workspace(H_b: np.ndarray, fp: FpState, Nt: int, K: int,
                     Q_other: np.ndarray | None = None) -> Workspace:
@@ -160,12 +106,99 @@ class StarContext:
         return vec(self.Q_C) + np.asarray(self.lam) / self.varrho
 
 
+def _off_diagonal(E: np.ndarray) -> np.ndarray:
+    """E with its diagonal set to zero."""
+    E = E.copy()
+    np.fill_diagonal(E, 0.0)
+    return E
+
+
+@dataclass(frozen=True)
+class Lift:
+    """Lifted copy R of w w^H: R = u u^H - (I_K kron E), diagonal replaced by d.
+
+    This is the form of the R-step's exact minimizer: u is the beamformer the
+    step was solved at, E = (|beta3|^2 / rho) conj(V3), and d is the solved
+    diagonal; the tight lift w w^H is ``rank_one(w)``. The solver reads R
+    only through the methods below, each O(Nt^2 K), so the (Nt K)^2 matrix
+    is never formed (``validate.expand`` builds it for reference checks).
+    E's own diagonal is not part of R and is never read.
+
+    R is an unconstrained complex matrix. With a complex beta3 the solved
+    diagonal d is complex, so R is not Hermitian (``hermitian_deviation``
+    reports by how much); it is deliberately not projected onto the
+    Hermitian matrices, because that projection would move rates. States
+    share a Lift by reference (sweep and star snapshots), so its arrays are
+    never written.
+    """
+
+    u: np.ndarray   # (Nt K,)
+    E: np.ndarray   # (Nt, Nt)
+    d: np.ndarray   # (Nt K,)
+
+    @classmethod
+    def rank_one(cls, w: np.ndarray, Nt: int) -> "Lift":
+        """The tight lift R = w w^H."""
+        return cls(u=w, E=np.zeros((Nt, Nt), dtype=complex), d=w * w.conj())
+
+    @property
+    def Nt(self) -> int:
+        return self.E.shape[0]
+
+    @property
+    def K(self) -> int:
+        return self.u.size // self.E.shape[0]
+
+    def diag_sum(self) -> np.ndarray:
+        """Sum of the diagonals of R's K diagonal blocks, shape (Nt,)."""
+        return self.d.reshape(-1, self.Nt).sum(axis=0)
+
+    def block_sum(self) -> np.ndarray:
+        """F, the sum of R's K diagonal Nt x Nt blocks."""
+        U = unvec(self.u, self.Nt, self.K)
+        F = U @ U.conj().T - self.K * self.E
+        np.fill_diagonal(F, self.diag_sum())
+        return F
+
+    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """R^H w."""
+        Eo = _off_diagonal(self.E)
+        Wm = unvec(w, self.Nt, self.K)
+        x = self.u * np.vdot(self.u, w) - vec(Eo.conj().T @ Wm)
+        return x + (self.d.conj() - self.u * self.u.conj()) * w
+
+    def distance_sq(self, w: np.ndarray) -> float:
+        """||R - w w^H||_F^2; ||R||_F^2 at w = 0."""
+        Nt, K = self.Nt, self.K
+        Eo = _off_diagonal(self.E)
+        off = K * np.vdot(Eo, Eo).real          # off-diagonal of I_K kron E
+        delta = self.u - w
+        if delta.any():
+            # u u^H - w w^H = L = w delta^H + delta u^H: add ||L||^2 and
+            # -2 Re <L, I_K kron Eo>, less L's diagonal
+            U, D = unvec(self.u, Nt, K), unvec(delta, Nt, K)
+            nd = np.vdot(delta, delta).real
+            L_sq = (nd * (np.vdot(w, w).real + np.vdot(self.u, self.u).real)
+                    + 2.0 * np.real(np.vdot(w, delta) * np.vdot(self.u, delta)))
+            cross = np.vdot(unvec(w, Nt, K), Eo @ D) + np.vdot(D, Eo @ U)
+            L_diag = w * delta.conj() + delta * self.u.conj()
+            off += L_sq - 2.0 * cross.real - np.vdot(L_diag, L_diag).real
+        dd = self.d - w * w.conj()
+        return float(max(off, 0.0) + np.vdot(dd, dd).real)
+
+    def skew_sq(self) -> float:
+        """||R - R^H||_F^2; the u u^H part is Hermitian and drops out."""
+        Eo = _off_diagonal(self.E)
+        S = Eo - Eo.conj().T
+        return float(self.K * np.vdot(S, S).real + 4.0 * np.sum(self.d.imag ** 2))
+
+
 @dataclass
 class LocalSolverState:
     """Mutable per-BS optimization state."""
 
     w: np.ndarray            # (Nt K,)
-    R: np.ndarray            # (Nt K, Nt K)
+    R: Lift
     F_abs_sq: np.ndarray     # (Nt, Nt) lagged |F|^2 factor
     eta: float = 0.0
     rho: float = 1.0
@@ -181,43 +214,20 @@ class LocalSolverState:
 
 
 def state_from_beamformer(W0_b: np.ndarray, rho: float = 1.0) -> LocalSolverState:
-    Nt, K = np.asarray(W0_b).shape
+    W0_b = np.asarray(W0_b)
     w0 = vec(W0_b)
-    R0 = np.outer(w0, w0.conj())
-    return LocalSolverState(w=w0, R=R0, F_abs_sq=lagged_factor(R0, Nt, K),
-                            rho=rho)
+    R0 = Lift.rank_one(w0, W0_b.shape[0])
+    return LocalSolverState(w=w0, R=R0, F_abs_sq=lagged_factor(R0), rho=rho)
 
 
-def _diag_block_sum(R: np.ndarray, Nt: int, K: int) -> np.ndarray:
-    """Sum of the K diagonal Nt x Nt blocks of R."""
-    out = np.zeros((Nt, Nt), dtype=complex)
-    for c in range(K):
-        out += R[c * Nt:(c + 1) * Nt, c * Nt:(c + 1) * Nt]
-    return out
-
-
-def gain_diag_from_R(R: np.ndarray, pa: PaModel, Nt: int, K: int) -> np.ndarray:
+def gain_diag_from_R(R: Lift, pa: PaModel) -> np.ndarray:
     """Diagonal of the linearized amplifier gain G(R)."""
-    idx = np.arange(Nt * K)
-    s = np.asarray(R)[idx, idx].reshape(K, Nt).sum(axis=0)
-    return pa.beta1 + 2.0 * pa.beta3 * s
+    return pa.beta1 + 2.0 * pa.beta3 * R.diag_sum()
 
 
-def gain_from_R(R: np.ndarray, pa: PaModel, ws: Workspace) -> np.ndarray:
-    """G(R); coincides with the Bussgang gain when R = w w^H."""
-    return np.diag(gain_diag_from_R(R, pa, ws.Nt, ws.K))
-
-
-def lagged_factor(R: np.ndarray, Nt: int, K: int) -> np.ndarray:
+def lagged_factor(R: Lift) -> np.ndarray:
     """|F(R)|^2 with F(R) the summed diagonal blocks of R."""
-    return np.abs(_diag_block_sum(R, Nt, K)) ** 2
-
-
-def distortion_from_R(R: np.ndarray, F_abs_sq: np.ndarray, pa: PaModel,
-                      ws: Workspace) -> np.ndarray:
-    """Distortion covariance, linear in R given the lagged |F|^2 factor."""
-    F = _diag_block_sum(R, ws.Nt, ws.K)
-    return 2.0 * np.abs(pa.beta3) ** 2 * (F * np.asarray(F_abs_sq))
+    return np.abs(R.block_sum()) ** 2
 
 
 def _linear_coeff(ws: Workspace) -> np.ndarray:
@@ -247,13 +257,13 @@ def w_subproblem_terms(state: LocalSolverState, ws: Workspace, pa: PaModel,
     the power sphere and pins every solution to the boundary, which destroys
     the backoff behavior distortion-aware designs rely on.
     """
-    g = gain_diag_from_R(state.R, pa, ws.Nt, ws.K)
+    g = gain_diag_from_R(state.R, pa)
     Gh = np.conj(g)
     A = (Gh[:, None] * ws.chan_gram) * g[None, :]
     E = unvec(ws.interf, ws.Nt, ws.K)
     C_blocks = Gh[:, None] * (E - ws.useful_weight.conj()[None, :] * ws.H)
     C_blocks = C_blocks - 2.0 * state.rho * unvec(
-        state.R.conj().T @ state.w, ws.Nt, ws.K
+        state.R.rmatvec(state.w), ws.Nt, ws.K
     )
     if star is not None:
         A = A + 0.5 * star.varrho * (Gh[:, None] * (ws.H @ ws.H.conj().T)) * g[None, :]
@@ -300,7 +310,7 @@ def _secular_newton(phi, lo: float, hi: float, t: float):
 
 
 def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
-             opts: SolverOptions, star: StarContext | None = None) -> np.ndarray:
+             star: StarContext | None = None) -> np.ndarray:
     """Closed-form w-step with a Newton secular solve for the power multiplier.
 
     The stationary point satisfies (A + t I) w = -c with
@@ -399,66 +409,61 @@ def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
                     F_abs_sq: np.ndarray, star: StarContext | None = None):
     """Reduced stationarity data of the R-step.
 
-    Returns (A_small, c_diag, V3, Wt) where the full system decouples into
-    the Nt*K diagonal entries (matrix A_small + rho*I, rhs -c_diag) and a
-    closed form everywhere else.
+    Returns (M, c, V3). The Nt*K diagonal entries of R decouple from the
+    rest: with r_k the k-th block of the diagonal (k-th row of the (K, Nt)
+    array r), they solve (1 1^T kron M + rho I) vec(r^T) = -vec(c^T): one
+    Nt x Nt matrix M couples every pair of blocks alike. Every other entry
+    of R has a closed form in V3.
     """
     Nt, K = ws.Nt, ws.K
     Wm = unvec(w, Nt, K)
-    Wt = np.outer(w, w.conj())
     S = Wm @ Wm.conj().T
     b3 = pa.beta3
     P = ws.chan_gram.T * S
-    A_small = 4.0 * np.abs(b3) ** 2 * np.kron(np.ones((K, K)), P)
+    M = 4.0 * np.abs(b3) ** 2 * P
 
-    c1 = 2.0 * np.conj(pa.beta1) * b3 * np.tile(P @ np.ones(Nt), K)
+    c1 = 2.0 * np.conj(pa.beta1) * b3 * (P @ np.ones(Nt))
     u = _linear_coeff(ws)
-    t2 = (np.conj(u) * w).reshape(K, Nt).sum(axis=0)
-    c2 = b3 * np.tile(t2, K)
+    c2 = b3 * (np.conj(u) * w).reshape(K, Nt).sum(axis=0)
     V3 = np.asarray(F_abs_sq) * ws.chan_gram.T
-    c3 = np.abs(b3) ** 2 * np.tile(np.diag(V3), K)
-    c4 = -rho * np.abs(w) ** 2
-
-    c_diag = c1 + c2 + c3 + c4
+    c3 = np.abs(b3) ** 2 * np.diag(V3)
+    c_block = c1 + c2 + c3
     if star is not None:
         r = _star_anchor_residual(star, ws, Wm, pa)
         Rm = unvec(r, K, K)
         xi_gram_t = (ws.H @ ws.H.conj().T).conj() * S
-        A_small = A_small + 2.0 * star.varrho * np.abs(b3) ** 2 * np.kron(
-            np.ones((K, K)), xi_gram_t
-        )
+        M = M + 2.0 * star.varrho * np.abs(b3) ** 2 * xi_gram_t
         xi_r = np.einsum("nk,kj,nj->n", ws.H.conj(), Rm.conj(), Wm)
-        c_diag = c_diag + np.tile(-star.varrho * b3 * xi_r, K)
-    return A_small, c_diag, V3, Wt
-
-
-def _assemble_R(r_diag_conj: np.ndarray, V3: np.ndarray, Wt: np.ndarray,
-                rho: float, pa: PaModel, Nt: int, K: int) -> np.ndarray:
-    """Off-diagonal closed form plus the solved diagonal entries."""
-    Rstar = Wt.T - (np.abs(pa.beta3) ** 2 / rho) * np.kron(np.eye(K), V3)
-    idx = np.arange(Nt * K)
-    Rstar[idx, idx] = r_diag_conj
-    return np.conj(Rstar)
+        c_block = c_block - star.varrho * b3 * xi_r
+    c = c_block - rho * np.abs(Wm.T) ** 2
+    return M, c, V3
 
 
 def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
-             star: StarContext | None = None) -> np.ndarray:
+             star: StarContext | None = None) -> Lift:
     """Exact minimizer of the (lagged) R-step objective.
+
+    Summing the K block rows of the diagonal system gives one Nt x Nt solve
+    for the block sum s = sum_k r_k, (K M + rho I) s = -sum_k c_k, and then
+    r_k = -(c_k + M s) / rho. The off-diagonal entries are
+    R = w w^H - (|beta3|^2 / rho)(I_K kron conj(V3)); the result is the
+    ``Lift`` (w, (|beta3|^2 / rho) conj(V3), conj(r)).
 
     A numerically singular system bumps rho by 10x and retries once before
     aborting with diagnostics.
     """
+    Nt = ws.Nt
     for attempt in range(2):
-        A_small, c_diag, V3, Wt = _r_system_parts(
-            state.w, ws, pa, state.rho, state.F_abs_sq, star
-        )
-        N = ws.Nt * ws.K
+        rho = state.rho
+        M, c, V3 = _r_system_parts(state.w, ws, pa, rho, state.F_abs_sq, star)
         try:
-            r_diag = np.linalg.solve(A_small + state.rho * np.eye(N), -c_diag)
+            s = np.linalg.solve(ws.K * M + rho * np.eye(Nt), -c.sum(axis=0))
         except np.linalg.LinAlgError:
-            r_diag = np.full(N, np.nan)
-        if np.all(np.isfinite(r_diag)):
-            state.R = _assemble_R(r_diag, V3, Wt, state.rho, pa, ws.Nt, ws.K)
+            s = np.full(Nt, np.nan)
+        r = -(c + M @ s) / rho
+        if np.all(np.isfinite(r)):
+            E = (np.abs(pa.beta3) ** 2 / rho) * np.conj(V3)
+            state.R = Lift(u=state.w, E=E, d=np.conj(r.reshape(-1)))
             return state.R
         if attempt == 0:
             state.rho *= 10.0
@@ -468,55 +473,26 @@ def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
     )
 
 
-def build_r_system(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
-                   F_abs_sq: np.ndarray, star: StarContext | None = None):
-    """Dense stationarity system (C_R, c_R) over vec(conj(R)).
-
-    The returned pair satisfies (C_R + rho I) vec(conj(R*)) = -c_R at the
-    solution produced by ``update_R``. Intended for verification at small
-    sizes; solvers use the reduced form.
-    """
-    Nt, K = ws.Nt, ws.K
-    N = Nt * K
-    A_small, c_diag, V3, Wt = _r_system_parts(w, ws, pa, rho, F_abs_sq, star)
-    C_R = np.zeros((N * N, N * N), dtype=complex)
-    pos = np.arange(N) * (N + 1)
-    C_R[np.ix_(pos, pos)] = A_small
-    c_R = (np.abs(pa.beta3) ** 2 * vec(np.kron(np.eye(K), V3))
-           - rho * vec(Wt.T)).astype(complex)
-    # c_diag already contains this vector's diagonal-position entries
-    c_R[pos] = c_diag
-    return C_R, c_R
-
-
-def solve_r_dense(w, ws, pa, rho, F_abs_sq, star=None) -> np.ndarray:
-    """Solve the dense stationarity system; reference path for tests."""
-    N = ws.Nt * ws.K
-    C_R, c_R = build_r_system(w, ws, pa, rho, F_abs_sq, star)
-    r_conj = np.linalg.solve(C_R + rho * np.eye(N * N), -c_R)
-    return np.conj(unvec(r_conj, N, N))
-
-
 # ---------------------------------------------------------------------------
 # objectives
 # ---------------------------------------------------------------------------
 
-def r_subproblem_objective(w: np.ndarray, R: np.ndarray, ws: Workspace,
-                           pa: PaModel, rho: float, F_abs_sq: np.ndarray,
-                           star: StarContext | None = None) -> float:
-    """Real value of the R-step objective at (w, R) with the given lag."""
-    Nt, K = ws.Nt, ws.K
-    Wm = unvec(w, Nt, K)
-    g = gain_diag_from_R(R, pa, Nt, K)
+def r_objective(w: np.ndarray, g: np.ndarray, F: np.ndarray, resid_sq: float,
+                ws: Workspace, pa: PaModel, rho: float, F_abs_sq: np.ndarray,
+                star: StarContext | None = None) -> float:
+    """R-step objective from what it reads of R.
+
+    ``g`` is the gain diagonal G(R), ``F`` the block sum of R and
+    ``resid_sq`` the penalty ||R - w w^H||_F^2; ``F_abs_sq`` is the lag.
+    """
+    Wm = unvec(w, ws.Nt, ws.K)
     GW = g[:, None] * Wm
     f1 = float(np.real(np.einsum("nj,nm,mj->", GW.conj(), ws.chan_gram, GW)))
-    u = unvec(_linear_coeff(ws), Nt, K)
+    u = unvec(_linear_coeff(ws), ws.Nt, ws.K)
     f2 = float(np.real(np.sum(u.conj() * GW)))
-    F = _diag_block_sum(R, Nt, K)
     V3 = np.asarray(F_abs_sq) * ws.chan_gram.T
     f3 = float(2.0 * np.abs(pa.beta3) ** 2 * np.real(np.sum(F * V3)))
-    f4 = float(rho * np.linalg.norm(R - np.outer(w, w.conj())) ** 2)
-    total = f1 + f2 + f3 + f4
+    total = f1 + f2 + f3 + rho * resid_sq
     if star is not None:
         m = vec(ws.H.conj().T @ GW)
         total += float(0.5 * star.varrho * np.linalg.norm(star.target - m) ** 2)
@@ -526,9 +502,11 @@ def r_subproblem_objective(w: np.ndarray, R: np.ndarray, ws: Workspace,
 def local_penalized_objective(state: LocalSolverState, ws: Workspace,
                               pa: PaModel, star: StarContext | None = None) -> float:
     """-delta_b + rho ||R - w w^H||^2 (+ consensus AL), distortion exact in R."""
-    lag_now = lagged_factor(state.R, ws.Nt, ws.K)
-    return r_subproblem_objective(state.w, state.R, ws, pa, state.rho,
-                                  lag_now, star)
+    R = state.R
+    F = R.block_sum()
+    return r_objective(state.w, gain_diag_from_R(R, pa), F,
+                       R.distance_sq(state.w), ws, pa, state.rho,
+                       np.abs(F) ** 2, star)
 
 
 def true_local_objective(W_b: np.ndarray, ws: Workspace, pa: PaModel,
@@ -552,14 +530,15 @@ def true_local_objective(W_b: np.ndarray, ws: Workspace, pa: PaModel,
 
 
 def penalty_residual(state: LocalSolverState) -> float:
-    Wt = np.outer(state.w, state.w.conj())
-    denom = max(np.linalg.norm(Wt), 1e-300)
-    return float(np.linalg.norm(state.R - Wt) / denom)
+    """||R - w w^H||_F / ||w w^H||_F."""
+    denom = max(float(np.vdot(state.w, state.w).real), 1e-300)
+    return float(np.sqrt(state.R.distance_sq(state.w)) / denom)
 
 
-def hermitian_deviation(R: np.ndarray) -> float:
-    denom = max(np.linalg.norm(R), 1e-300)
-    return float(np.linalg.norm(R - R.conj().T) / denom)
+def hermitian_deviation(R: Lift) -> float:
+    """||R - R^H||_F / ||R||_F."""
+    denom = max(np.sqrt(R.distance_sq(np.zeros_like(R.u))), 1e-300)
+    return float(np.sqrt(R.skew_sq()) / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +563,8 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
         obj_before = true_local_objective(state.W, ws, pa, star)
         accepted = False
         while True:
-            update_w(state, ws, pa, Pt, opts, star)
-            state.F_abs_sq = lagged_factor(state.R, ws.Nt, ws.K)
+            update_w(state, ws, pa, Pt, star)
+            state.F_abs_sq = lagged_factor(state.R)
             update_R(state, ws, pa, star)
             resid = penalty_residual(state)
             # trust-region guard: the lagged distortion model is only valid
@@ -604,8 +583,8 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
             # its own direction, the harder the stiffer the penalty), then
             # retry with a stiffer penalty
             state.w, _, _, state.eta, state.prev_residual = snapshot
-            state.R = np.outer(state.w, state.w.conj())
-            state.F_abs_sq = lagged_factor(state.R, ws.Nt, ws.K)
+            state.R = Lift.rank_one(state.w, ws.Nt)
+            state.F_abs_sq = lagged_factor(state.R)
             state.rejected_sweeps += 1
             if state.rho >= opts.rho_cap:
                 break

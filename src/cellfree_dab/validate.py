@@ -1,7 +1,17 @@
-"""Quick self-check suite behind the ``validate`` CLI subcommand.
+"""Dense reference for the lifted R, and the ``validate`` CLI self-checks.
 
-A trimmed version of the oracle checks from the test suite, sized to run in
-well under a minute. Prints one PASS/FAIL line per check.
+The solvers keep the lifted matrix R in structured form
+(``local_solver.Lift``) and never build an (Nt K) x (Nt K) matrix. The dense
+reference that the tests and the checks below compare the structured path
+against lives here and only here: the expansion of a ``Lift``, the gain and
+distortion read from a dense R, the dense R-step stationarity system and
+its solve, the R-step objective at a dense R, the gain lifting matrix and
+Jacobian, and the dense views of a ``Workspace``. It is sized for small
+Nt K: the stationarity system alone has (Nt K)^4 entries.
+
+The checks are a trimmed version of the oracle checks from the test suite,
+sized to run in well under a minute; ``run_validation`` prints one
+PASS/FAIL line per check.
 """
 
 from __future__ import annotations
@@ -11,10 +21,146 @@ import numpy as np
 from . import fp_core, local_solver, metrics
 from .common import SolverOptions
 from .fp_core import FpState, MetricsInputs
+from .local_solver import Lift, StarContext, Workspace, unvec, vec
 from .pa_model import PaModel, amplify, bussgang_gain, distortion_cov
 from .ring_solver import run_ring
 from .scenario import desk_profile, make_scenario
 
+
+# ---------------------------------------------------------------------------
+# dense reference
+# ---------------------------------------------------------------------------
+
+def expand(R: Lift) -> np.ndarray:
+    """The (Nt K) x (Nt K) matrix a ``Lift`` stands for."""
+    out = np.outer(R.u, R.u.conj()) - np.kron(np.eye(R.K), R.E)
+    np.fill_diagonal(out, R.d)
+    return out
+
+
+def dense_block_sum(R: np.ndarray, Nt: int, K: int) -> np.ndarray:
+    """Sum of the K diagonal Nt x Nt blocks of R."""
+    out = np.zeros((Nt, Nt), dtype=complex)
+    for c in range(K):
+        out += R[c * Nt:(c + 1) * Nt, c * Nt:(c + 1) * Nt]
+    return out
+
+
+def dense_gain_diag(R: np.ndarray, pa: PaModel, Nt: int, K: int) -> np.ndarray:
+    """Diagonal of the linearized amplifier gain G(R)."""
+    idx = np.arange(Nt * K)
+    s = np.asarray(R)[idx, idx].reshape(K, Nt).sum(axis=0)
+    return pa.beta1 + 2.0 * pa.beta3 * s
+
+
+def dense_gain(R: np.ndarray, pa: PaModel, Nt: int, K: int) -> np.ndarray:
+    """G(R); coincides with the Bussgang gain when R = w w^H."""
+    return np.diag(dense_gain_diag(R, pa, Nt, K))
+
+
+def dense_distortion(R: np.ndarray, F_abs_sq: np.ndarray, pa: PaModel,
+                     Nt: int, K: int) -> np.ndarray:
+    """Distortion covariance, linear in R given the lagged |F|^2 factor."""
+    F = dense_block_sum(R, Nt, K)
+    return 2.0 * np.abs(pa.beta3) ** 2 * (F * np.asarray(F_abs_sq))
+
+
+def block_sum_selector(Nt: int, K: int) -> np.ndarray:
+    """The (Nt*K) x Nt selector whose sandwich sums the K diagonal blocks."""
+    return np.tile(np.eye(Nt), (K, 1))
+
+
+def gain_lifting_matrix(Nt: int, K: int) -> np.ndarray:
+    """0/1 matrix mapping vec(G) of a diagonal Nt x Nt G to vec(I_K kron G).
+
+    Built by composing diagonal extraction, tiling, and truncation.
+    """
+    a = np.zeros(Nt + 1)
+    a[0] = 1.0
+    b = np.zeros(Nt * K + 1)
+    b[0] = 1.0
+    A1 = np.kron(np.eye(Nt), a[None, :])
+    A2 = np.vstack([np.eye(Nt * Nt), np.zeros((Nt, Nt * Nt))])
+    A_diag = A1 @ A2                       # extracts diag(G) from vec(G)
+    B1 = np.kron(A_diag, b[:, None])
+    B2 = np.tile(B1, (K, 1))
+    B3 = np.hstack(
+        [np.eye(Nt * Nt * K * K), np.zeros((Nt * Nt * K * K, Nt * K))]
+    )
+    return B3 @ B2
+
+
+def gain_jacobian(pa: PaModel, Nt: int, K: int) -> np.ndarray:
+    """d vec(G) / d vec(R) for the linearized gain, shape Nt^2 x (Nt K)^2."""
+    E1 = block_sum_selector(Nt, K)
+    N = Nt * K
+    return (
+        2.0
+        * pa.beta3
+        * np.kron(E1.T, E1.T)
+        @ np.diag(vec(np.eye(N)))
+    )
+
+
+def useful_weight_matrix(ws: Workspace) -> np.ndarray:
+    """Blockwise useful-signal weights as an (Nt K) x (Nt K) diagonal."""
+    return np.diag(np.repeat(ws.useful_weight, ws.Nt))
+
+
+def chan_gram_big(ws: Workspace) -> np.ndarray:
+    """I_K kron chan_gram."""
+    return np.kron(np.eye(ws.K), ws.chan_gram)
+
+
+def zeta_block_diag(ws: Workspace) -> np.ndarray:
+    """The FP weights zeta, one per block, as an (Nt K) x (Nt K) diagonal."""
+    return np.diag(np.repeat(ws.zeta, ws.Nt))
+
+
+def build_r_system(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
+                   F_abs_sq: np.ndarray, star: StarContext | None = None):
+    """Dense stationarity system (C_R, c_R) over vec(conj(R)).
+
+    The returned pair satisfies (C_R + rho I) vec(conj(R*)) = -c_R at the
+    minimizer R* that ``local_solver.update_R`` returns in structured form.
+    """
+    Nt, K = ws.Nt, ws.K
+    N = Nt * K
+    M, c, V3 = local_solver._r_system_parts(w, ws, pa, rho, F_abs_sq, star)
+    C_R = np.zeros((N * N, N * N), dtype=complex)
+    pos = np.arange(N) * (N + 1)
+    C_R[np.ix_(pos, pos)] = np.kron(np.ones((K, K)), M)
+    Wt = np.outer(w, w.conj())
+    c_R = (np.abs(pa.beta3) ** 2 * vec(np.kron(np.eye(K), V3))
+           - rho * vec(Wt.T)).astype(complex)
+    # c already holds this vector's diagonal-position entries
+    c_R[pos] = c.reshape(-1)
+    return C_R, c_R
+
+
+def solve_r_dense(w, ws, pa, rho, F_abs_sq, star=None) -> np.ndarray:
+    """Solve the dense stationarity system for the dense R."""
+    N = ws.Nt * ws.K
+    C_R, c_R = build_r_system(w, ws, pa, rho, F_abs_sq, star)
+    r_conj = np.linalg.solve(C_R + rho * np.eye(N * N), -c_R)
+    return np.conj(unvec(r_conj, N, N))
+
+
+def r_subproblem_objective(w: np.ndarray, R: np.ndarray, ws: Workspace,
+                           pa: PaModel, rho: float, F_abs_sq: np.ndarray,
+                           star: StarContext | None = None) -> float:
+    """Real value of the R-step objective at (w, dense R) with the given lag."""
+    Nt, K = ws.Nt, ws.K
+    resid_sq = float(np.linalg.norm(R - np.outer(w, w.conj())) ** 2)
+    return local_solver.r_objective(
+        w, dense_gain_diag(R, pa, Nt, K), dense_block_sum(R, Nt, K), resid_sq,
+        ws, pa, rho, F_abs_sq, star,
+    )
+
+
+# ---------------------------------------------------------------------------
+# self-checks
+# ---------------------------------------------------------------------------
 
 def _rand_c(rng, *shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -62,19 +208,15 @@ def check_lifting_chain(seed: int) -> bool:
     rng = np.random.default_rng(seed + 2)
     for Nt, K in ((2, 1), (2, 2), (3, 2)):
         N = Nt * K
-        J = local_solver.gain_lifting_matrix(Nt, K) @ local_solver.gain_jacobian(pa, Nt, K)
+        J = gain_lifting_matrix(Nt, K) @ gain_jacobian(pa, Nt, K)
         R = _rand_c(rng, N, N)
         eps = 1e-6
-        base = local_solver.vec(
-            np.kron(np.eye(K), np.diag(local_solver.gain_diag_from_R(R, pa, Nt, K)))
-        )
+        base = vec(np.kron(np.eye(K), dense_gain(R, pa, Nt, K)))
         for idx in range(0, N * N, max(1, (N * N) // 8)):
             dR = np.zeros((N * N,), dtype=complex)
             dR[idx] = eps
-            Rp = R + local_solver.unvec(dR, N, N)
-            col = (local_solver.vec(np.kron(
-                np.eye(K), np.diag(local_solver.gain_diag_from_R(Rp, pa, Nt, K))
-            )) - base) / eps
+            Rp = R + unvec(dR, N, N)
+            col = (vec(np.kron(np.eye(K), dense_gain(Rp, pa, Nt, K))) - base) / eps
             if np.abs(col - J[:, idx]).max() > 1e-6 * max(1.0, np.abs(J).max()):
                 return False
     return True
@@ -90,11 +232,9 @@ def check_r_step(seed: int) -> bool:
         fp = FpState(mu=rng.uniform(0.1, 2.0, K), zeta=_rand_c(rng, K, scale=0.6))
         ws = local_solver.build_workspace(H, fp, Nt, K, _rand_c(rng, K, K, scale=0.4))
         w = _rand_c(rng, N, scale=0.6)
-        R0 = np.outer(w, w.conj())
-        lag = local_solver.lagged_factor(R0, Nt, K)
-        state = local_solver.LocalSolverState(w=w, R=R0, F_abs_sq=lag, rho=1.7)
-        R = local_solver.update_R(state, ws, pa)
-        R_dense = local_solver.solve_r_dense(w, ws, pa, 1.7, lag)
+        state = local_solver.state_from_beamformer(unvec(w, Nt, K), rho=1.7)
+        R = expand(local_solver.update_R(state, ws, pa))
+        R_dense = solve_r_dense(w, ws, pa, 1.7, state.F_abs_sq)
         if np.abs(R - R_dense).max() > 1e-8 * max(1.0, np.abs(R).max()):
             return False
     return True
@@ -105,18 +245,15 @@ def check_w_step(seed: int) -> bool:
     pa = PaModel.reference()
     Nt, K = 3, 2
     N = Nt * K
-    opts = SolverOptions()
     for _ in range(5):
         H = _rand_c(rng, Nt, K)
         fp = FpState(mu=rng.uniform(0.1, 2.0, K), zeta=_rand_c(rng, K, scale=0.6))
         ws = local_solver.build_workspace(H, fp, Nt, K, _rand_c(rng, K, K, scale=0.4))
         w0 = _rand_c(rng, N, scale=0.5)
-        state = local_solver.state_from_beamformer(
-            local_solver.unvec(w0, Nt, K), rho=1.3
-        )
+        state = local_solver.state_from_beamformer(unvec(w0, Nt, K), rho=1.3)
         Pt = 1.0
         A, C = local_solver.w_subproblem_terms(state, ws, pa)
-        w_new = local_solver.update_w(state, ws, pa, Pt, opts)
+        w_new = local_solver.update_w(state, ws, pa, Pt)
         if np.linalg.norm(w_new) ** 2 > Pt * (1 + 1e-9):
             return False
         obj = local_solver.w_subproblem_objective(w_new, A, C, 1.3, Nt, K)

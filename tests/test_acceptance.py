@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cellfree_dab import fp_core, local_solver as ls, metrics
+from cellfree_dab import validate as ref
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.central_solver import SolveMode, run_central
 from cellfree_dab.fp_core import FpState, MetricsInputs
@@ -149,7 +150,7 @@ def test_criterion_02_w_step_oracle():
                                              rho=float(rng.uniform(0.5, 3.0)))
             A, C = ls.w_subproblem_terms(state, ws, pa)
             rho = state.rho
-            w = ls.update_w(state, ws, pa, Pt, opts)
+            w = ls.update_w(state, ws, pa, Pt)
             assert np.linalg.norm(w) ** 2 <= Pt * (1 + 1e-9)
 
             Afull = np.kron(np.eye(K), A)
@@ -183,14 +184,13 @@ def test_criterion_03_r_step_stationarity():
                          zeta=rand_c(rng, K, scale=0.7))
             ws = ls.build_workspace(H, fp, Nt, K, rand_c(rng, K, K, scale=0.5))
             w = rand_c(rng, N, scale=0.7)
-            R0 = np.outer(w, w.conj())
-            lag = ls.lagged_factor(R0, Nt, K)
             rho = float(rng.uniform(0.5, 3.0))
-            state = ls.LocalSolverState(w=w, R=R0, F_abs_sq=lag, rho=rho)
-            R = ls.update_R(state, ws, pa)
+            state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=rho)
+            lag = state.F_abs_sq
+            R = ref.expand(ls.update_R(state, ws, pa))
 
             def obj(Rm):
-                return ls.r_subproblem_objective(w, Rm, ws, pa, rho, lag)
+                return ref.r_subproblem_objective(w, Rm, ws, pa, rho, lag)
 
             grad = np.zeros(2 * N * N)
             for i in range(N * N):
@@ -199,10 +199,10 @@ def test_criterion_03_r_step_stationarity():
                     dR = np.zeros((N, N), dtype=complex)
                     dR[pos] = off
                     grad[part * N * N + i] = (obj(R + dR) - obj(R - dR)) / (2 * h_fd)
-            _, c_R = ls.build_r_system(w, ws, pa, rho, lag)
+            _, c_R = ref.build_r_system(w, ws, pa, rho, lag)
             assert np.linalg.norm(grad) <= 1e-5 * (1 + np.linalg.norm(c_R))
 
-            R_dense = ls.solve_r_dense(w, ws, pa, rho, lag)
+            R_dense = ref.solve_r_dense(w, ws, pa, rho, lag)
             assert np.abs(R - R_dense).max() <= 1e-8 * max(1.0, np.abs(R).max())
         assert time.monotonic() - start < 30.0
 
@@ -215,12 +215,12 @@ def test_criterion_04_lifting_matrix_chain_rule():
         for Nt in (2, 3):
             for K in (1, 2):
                 N = Nt * K
-                J = (ls.gain_lifting_matrix(Nt, K)
-                     @ ls.gain_jacobian(pa, Nt, K))
+                J = (ref.gain_lifting_matrix(Nt, K)
+                     @ ref.gain_jacobian(pa, Nt, K))
                 R = rand_c(rng, N, N)
 
                 def gbar(Rm):
-                    G = np.diag(ls.gain_diag_from_R(Rm, pa, Nt, K))
+                    G = np.diag(ref.dense_gain_diag(Rm, pa, Nt, K))
                     return ls.vec(np.kron(np.eye(K), G))
 
                 base = gbar(R)

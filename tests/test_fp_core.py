@@ -207,3 +207,20 @@ def test_bs_contribution_distortion_real_nonnegative():
     W = rand_c(rng, 4, 3)
     _, p = bs_contribution(H, W, pa)
     assert np.all(p >= -1e-10 * (1 + np.abs(p)))
+
+
+def test_bs_contribution_independent_of_memory_layout():
+    # the solvers pass column-major views (LocalSolverState.W), evaluate a
+    # row-major stack; both must give the same bits at every size
+    rng = np.random.default_rng(52)
+    pa = PaModel.reference()
+    for Nt, K in ((64, 12), (16, 6), (19, 7), (4, 2)):
+        for _ in range(5):
+            H = rand_c(rng, Nt, K)
+            W = rand_c(rng, Nt, K, scale=0.1)
+            Q_c, p_c = bs_contribution(H, W, pa)
+            for H_l, W_l in ((H, np.asfortranarray(W)),
+                             (np.asfortranarray(H), W)):
+                Q_f, p_f = bs_contribution(H_l, W_l, pa)
+                assert np.array_equal(Q_f, Q_c)
+                assert np.array_equal(p_f, p_c)

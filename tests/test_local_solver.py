@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cellfree_dab import local_solver as ls
+from cellfree_dab import validate as ref
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.fp_core import FpState
 from cellfree_dab.pa_model import PaModel, bussgang_gain, distortion_cov
@@ -40,7 +41,7 @@ def test_selector_reproduces_gain_term():
     Nt, K = 3, 2
     W = rand_c(rng, Nt, K)
     w = ls.vec(W)
-    E1 = ls.block_sum_selector(Nt, K)
+    E1 = ref.block_sum_selector(Nt, K)
     lhs = E1.T @ (np.outer(w, w.conj()) * np.eye(Nt * K)) @ E1
     assert np.allclose(lhs, np.diag(np.sum(np.abs(W) ** 2, axis=1)))
 
@@ -50,8 +51,8 @@ def test_workspace_unit_weights():
     H = np.zeros((Nt, K), dtype=complex)
     fp = FpState(mu=np.zeros(K), zeta=np.ones(K, dtype=complex))
     ws = ls.build_workspace(H, fp, Nt, K)
-    assert np.allclose(ws.useful_weight_matrix, np.eye(Nt * K))
-    assert np.allclose(ws.zeta_block_diag, np.eye(Nt * K))
+    assert np.allclose(ref.useful_weight_matrix(ws), np.eye(Nt * K))
+    assert np.allclose(ref.zeta_block_diag(ws), np.eye(Nt * K))
 
 
 def test_interference_backprojection_definition():
@@ -73,12 +74,12 @@ def test_gain_from_R_consistency():
     ws = make_workspace(rng, Nt, K)
     W = rand_c(rng, Nt, K)
     R = np.outer(ls.vec(W), ls.vec(W).conj())
-    assert np.allclose(ls.gain_from_R(R, pa, ws), bussgang_gain(W, pa))
-    assert np.allclose(ls.gain_from_R(np.zeros((Nt * K,) * 2), pa, ws),
+    assert np.allclose(ref.dense_gain(R, pa, Nt, K), bussgang_gain(W, pa))
+    assert np.allclose(ref.dense_gain(np.zeros((Nt * K,) * 2), pa, Nt, K),
                        pa.beta1 * np.eye(Nt))
     ideal = PaModel.ideal()
     R_any = rand_c(rng, Nt * K, Nt * K)
-    assert np.allclose(ls.gain_from_R(R_any, ideal, ws), np.eye(Nt))
+    assert np.allclose(ref.dense_gain(R_any, ideal, Nt, K), np.eye(Nt))
 
 
 def test_distortion_from_R_consistency_and_linearity():
@@ -88,23 +89,23 @@ def test_distortion_from_R_consistency_and_linearity():
     ws = make_workspace(rng, Nt, K)
     W = rand_c(rng, Nt, K)
     R = np.outer(ls.vec(W), ls.vec(W).conj())
-    lag = ls.lagged_factor(R, Nt, K)
-    assert np.allclose(ls.distortion_from_R(R, lag, pa, ws),
+    lag = ls.lagged_factor(ls.Lift.rank_one(ls.vec(W), Nt))
+    assert np.allclose(ref.dense_distortion(R, lag, pa, Nt, K),
                        distortion_cov(W, pa))
     assert np.allclose(
-        ls.distortion_from_R(np.zeros_like(R), lag, pa, ws), 0.0
+        ref.dense_distortion(np.zeros_like(R), lag, pa, Nt, K), 0.0
     )
     R1, R2 = rand_c(rng, Nt * K, Nt * K), rand_c(rng, Nt * K, Nt * K)
     a, b = 0.7, -1.3
-    lhs = ls.distortion_from_R(a * R1 + b * R2, lag, pa, ws)
-    rhs = (a * ls.distortion_from_R(R1, lag, pa, ws)
-           + b * ls.distortion_from_R(R2, lag, pa, ws))
+    lhs = ref.dense_distortion(a * R1 + b * R2, lag, pa, Nt, K)
+    rhs = (a * ref.dense_distortion(R1, lag, pa, Nt, K)
+           + b * ref.dense_distortion(R2, lag, pa, Nt, K))
     assert np.allclose(lhs, rhs)
 
 
 def test_lifting_matrix_is_binary():
     for Nt, K in ((2, 1), (2, 2), (3, 2)):
-        BR = ls.gain_lifting_matrix(Nt, K)
+        BR = ref.gain_lifting_matrix(Nt, K)
         assert set(np.unique(BR)).issubset({0.0, 1.0})
         assert BR.shape == (Nt * Nt * K * K, Nt * Nt)
 
@@ -114,11 +115,11 @@ def test_lifting_chain_rule_against_fd(Nt, K):
     rng = np.random.default_rng(10 + Nt + K)
     pa = reference_pa()
     N = Nt * K
-    J = ls.gain_lifting_matrix(Nt, K) @ ls.gain_jacobian(pa, Nt, K)
+    J = ref.gain_lifting_matrix(Nt, K) @ ref.gain_jacobian(pa, Nt, K)
     R = rand_c(rng, N, N)
 
     def gbar_vec(Rm):
-        G = np.diag(ls.gain_diag_from_R(Rm, pa, Nt, K))
+        G = ref.dense_gain(Rm, pa, Nt, K)
         return ls.vec(np.kron(np.eye(K), G))
 
     base = gbar_vec(R)
@@ -142,9 +143,9 @@ def test_vectorization_identity_three_lines():
     w = rand_c(rng, N, scale=0.8)
     R = rand_c(rng, N, N)
     Wt = np.outer(w, w.conj())
-    E1 = ls.block_sum_selector(Nt, K)
-    E3 = ws.chan_gram_big
-    Gbar = np.kron(np.eye(K), ls.gain_from_R(R, pa, ws))
+    E1 = ref.block_sum_selector(Nt, K)
+    E3 = ref.chan_gram_big(ws)
+    Gbar = np.kron(np.eye(K), ref.dense_gain(R, pa, Nt, K))
     D_I = np.diag(ls.vec(np.eye(N)))
 
     line1 = ls.vec(E3.T @ Gbar.conj() @ Wt.T)
@@ -191,14 +192,13 @@ class TestWStep:
     def test_power_feasibility_and_oracle(self):
         rng = np.random.default_rng(20)
         pa = reference_pa()
-        opts = SolverOptions()
         Nt, K, Pt = 3, 2, 1.0
         for trial in range(8):
             ws = make_workspace(rng, Nt, K)
             state = make_state(rng, ws, rho=float(rng.uniform(0.5, 3.0)))
             A, C = ls.w_subproblem_terms(state, ws, pa)
             rho = state.rho
-            w = ls.update_w(state, ws, pa, Pt, opts)
+            w = ls.update_w(state, ws, pa, Pt)
             assert np.linalg.norm(w) ** 2 <= Pt * (1 + 1e-9)
             obj = ls.w_subproblem_objective(w, A, C, rho, Nt, K)
             x = pg_oracle(A, C, rho, Nt, K, Pt)
@@ -210,12 +210,11 @@ class TestWStep:
         # solves (A + 2 rho ||w||^2 I) w = -c
         rng = np.random.default_rng(21)
         pa = reference_pa()
-        opts = SolverOptions()
         ws = make_workspace(rng, 3, 2)
         state = make_state(rng, ws)
         Pt = 1e9
         A, C = ls.w_subproblem_terms(state, ws, pa)
-        w = ls.update_w(state, ws, pa, Pt, opts)
+        w = ls.update_w(state, ws, pa, Pt)
         assert state.eta == 0.0
         lhs = (np.kron(np.eye(2), A)
                + 2 * state.rho * np.linalg.norm(w) ** 2 * np.eye(6)) @ w
@@ -224,11 +223,10 @@ class TestWStep:
     def test_eta_positive_only_when_power_saturated(self):
         rng = np.random.default_rng(22)
         pa = reference_pa()
-        opts = SolverOptions()
         ws = make_workspace(rng, 3, 2, zeta_scale=3.0)
         state = make_state(rng, ws, scale=1.5)
         Pt = 1e-4  # force the constraint active
-        w = ls.update_w(state, ws, pa, Pt, opts)
+        w = ls.update_w(state, ws, pa, Pt)
         assert state.eta > 0.0
         assert np.linalg.norm(w) ** 2 == pytest.approx(Pt, rel=1e-7)
 
@@ -238,7 +236,7 @@ class TestWStep:
         fp = FpState.zeros(K)
         ws = ls.build_workspace(H, fp, Nt, K)
         state = ls.state_from_beamformer(np.zeros((Nt, K), dtype=complex))
-        w = ls.update_w(state, ws, PaModel.ideal(), 1.0, SolverOptions())
+        w = ls.update_w(state, ws, PaModel.ideal(), 1.0)
         assert np.allclose(w, 0.0)
 
 
@@ -277,7 +275,7 @@ def r_objective_via_probing(w, ws, pa, rho, lag, star=None):
         return ls.unvec(x[:N * N] + 1j * x[N * N:], N, N)
 
     def obj(x):
-        return ls.r_subproblem_objective(w, x_to_R(x), ws, pa, rho, lag, star)
+        return ref.r_subproblem_objective(w, x_to_R(x), ws, pa, rho, lag, star)
 
     f0 = obj(np.zeros(dim))
     e = np.eye(dim)
@@ -306,7 +304,7 @@ class TestRStep:
         ws = ls.build_workspace(H, fp, Nt, K)
         w = rand_c(rng, Nt * K)
         state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=2.0)
-        R = ls.update_R(state, ws, PaModel.ideal())
+        R = ref.expand(ls.update_R(state, ws, PaModel.ideal()))
         assert np.allclose(R, np.outer(w, w.conj()), atol=1e-12)
 
     def test_stationarity_dense_and_probing(self):
@@ -317,21 +315,20 @@ class TestRStep:
         for _ in range(4):
             ws = make_workspace(rng, Nt, K)
             w = rand_c(rng, N, scale=0.7)
-            R0 = np.outer(w, w.conj())
-            lag = ls.lagged_factor(R0, Nt, K)
             rho = float(rng.uniform(0.5, 3.0))
-            state = ls.LocalSolverState(w=w, R=R0, F_abs_sq=lag, rho=rho)
-            R = ls.update_R(state, ws, pa)
+            state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=rho)
+            lag = state.F_abs_sq
+            R = ref.expand(ls.update_R(state, ws, pa))
 
-            R_dense = ls.solve_r_dense(w, ws, pa, rho, lag)
+            R_dense = ref.solve_r_dense(w, ws, pa, rho, lag)
             assert np.abs(R - R_dense).max() <= 1e-8 * max(1.0, np.abs(R).max())
 
             R_probe = r_objective_via_probing(w, ws, pa, rho, lag)
             assert np.abs(R - R_probe).max() <= 1e-8 * max(1.0, np.abs(R).max())
 
-            _, c_R = ls.build_r_system(w, ws, pa, rho, lag)
+            _, c_R = ref.build_r_system(w, ws, pa, rho, lag)
             g = fd_gradient(
-                lambda Rm: ls.r_subproblem_objective(w, Rm, ws, pa, rho, lag), R
+                lambda Rm: ref.r_subproblem_objective(w, Rm, ws, pa, rho, lag), R
             )
             assert np.linalg.norm(g) <= 1e-5 * (1 + np.linalg.norm(c_R))
 
@@ -342,13 +339,12 @@ class TestRStep:
         N = Nt * K
         ws = make_workspace(rng, Nt, K)
         w = rand_c(rng, N, scale=0.7)
-        R0 = np.outer(w, w.conj())
-        lag = ls.lagged_factor(R0, Nt, K)
+        rho = 1.4
+        state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=rho)
+        lag = state.F_abs_sq
         star = ls.StarContext(Q_C=rand_c(rng, K, K), lam=rand_c(rng, K * K),
                               varrho=5.0)
-        rho = 1.4
-        state = ls.LocalSolverState(w=w, R=R0, F_abs_sq=lag, rho=rho)
-        R = ls.update_R(state, ws, pa, star)
+        R = ref.expand(ls.update_R(state, ws, pa, star))
         R_probe = r_objective_via_probing(w, ws, pa, rho, lag, star)
         assert np.abs(R - R_probe).max() <= 1e-8 * max(1.0, np.abs(R).max())
 
@@ -398,13 +394,12 @@ def test_penalty_residual_decays_with_rho():
     pa = reference_pa()
     Nt, K, Pt = 2, 2, 1.0
     ws = make_workspace(rng, Nt, K)
-    opts = SolverOptions()
     resids = []
     for rho in (1.0, 100.0, 10000.0):
         state = make_state(rng, ws, rho=rho, scale=np.sqrt(Pt / (Nt * K)))
         for _ in range(10):
-            ls.update_w(state, ws, pa, Pt, opts)
-            state.F_abs_sq = ls.lagged_factor(state.R, ws.Nt, ws.K)
+            ls.update_w(state, ws, pa, Pt)
+            state.F_abs_sq = ls.lagged_factor(state.R)
             ls.update_R(state, ws, pa)
             state.rho = rho  # pin: bypass every schedule
         resids.append(ls.penalty_residual(state))
@@ -439,5 +434,9 @@ def test_local_trace_and_dump():
 def test_hermitian_deviation_zero_for_hermitian():
     rng = np.random.default_rng(43)
     X = rand_c(rng, 4, 4)
-    assert ls.hermitian_deviation(X + X.conj().T) < 1e-14
-    assert ls.hermitian_deviation(X) > 0.0
+    u = rand_c(rng, 8)
+    real_d = rng.standard_normal(8) + 0j
+    hermitian = ls.Lift(u=u, E=X + X.conj().T, d=real_d)
+    assert ls.hermitian_deviation(hermitian) < 1e-14
+    assert ls.hermitian_deviation(ls.Lift(u=u, E=X, d=real_d)) > 0.0
+    assert ls.hermitian_deviation(ls.Lift(u=u, E=0 * X, d=real_d + 1j)) > 0.0

@@ -88,13 +88,12 @@ def random_instance(rng, star: bool):
 
 def test_update_w_matches_bisection_oracle():
     rng = np.random.default_rng(2024)
-    opts = SolverOptions()
     seen = {"interior": 0, "active": 0, "ridge": 0, "star": 0}
     for i in range(240):
         state, ws, pa, ctx, Pt = random_instance(rng, star=i % 3 == 0)
         A, C = ls.w_subproblem_terms(state, ws, pa, ctx)
         w_ref, eta_ref, _ = reference_w_step(A, C, state.rho, Pt)
-        w = ls.update_w(state, ws, pa, Pt, opts, ctx)
+        w = ls.update_w(state, ws, pa, Pt, ctx)
         assert np.linalg.norm(w - w_ref) <= MATCH_RTOL * np.linalg.norm(w_ref)
         assert abs(state.eta - eta_ref) <= MATCH_RTOL * eta_ref
         seen["active" if eta_ref > 0.0 else "interior"] += 1
@@ -107,7 +106,6 @@ def test_update_w_matches_oracle_on_rank_deficient_paper_shape():
     # Nt=16, K=6 as in full_profile: A has rank <= 6, so the ridge lifts its
     # roundoff-negative eigenvalues to exactly zero and p(t) has a pole at 0
     rng = np.random.default_rng(16)
-    opts = SolverOptions()
     Nt, K = 16, 6
     ridged = 0
     for Pt in 10.0 ** np.arange(-8.0, 9.0):
@@ -118,7 +116,7 @@ def test_update_w_matches_oracle_on_rank_deficient_paper_shape():
                                          rho=float(10.0 ** rng.uniform(-3, 6)))
         A, C = ls.w_subproblem_terms(state, ws, PaModel.reference())
         w_ref, eta_ref, _ = reference_w_step(A, C, state.rho, Pt)
-        w = ls.update_w(state, ws, PaModel.reference(), Pt, opts)
+        w = ls.update_w(state, ws, PaModel.reference(), Pt)
         ridged += int(np.linalg.eigvalsh(0.5 * (A + A.conj().T))[0] < 0.0)
         assert np.linalg.norm(w - w_ref) <= MATCH_RTOL * np.linalg.norm(w_ref)
         assert abs(state.eta - eta_ref) <= MATCH_RTOL * eta_ref
@@ -129,7 +127,6 @@ def test_update_w_stays_within_budget_just_below_interior_power():
     # Pt a hair below the interior solution's power: the active branch must
     # be taken, so the beamformer never exceeds the budget
     rng = np.random.default_rng(77)
-    opts = SolverOptions()
     for i in range(200):
         state, ws, pa, ctx, _ = random_instance(rng, star=i % 2 == 0)
         A, C = ls.w_subproblem_terms(state, ws, pa, ctx)
@@ -139,7 +136,7 @@ def test_update_w_stays_within_budget_just_below_interior_power():
             continue
         Pt = p_int * (1.0 - 10.0 ** rng.uniform(-13.0, -9.0))
         w_ref, eta_ref, _ = reference_w_step(A, C, state.rho, Pt)
-        w = ls.update_w(state, ws, pa, Pt, opts, ctx)
+        w = ls.update_w(state, ws, pa, Pt, ctx)
         assert np.linalg.norm(w) ** 2 <= Pt * (1.0 + 1e-14)
         assert state.eta > 0.0 and eta_ref > 0.0
         assert np.linalg.norm(w - w_ref) <= MATCH_RTOL * np.linalg.norm(w_ref)

@@ -41,7 +41,7 @@ def test_w_step_properties(Nt, K, pt_dbm, beta3, log_rho, star, seed):
                              varrho=OPTS.varrho)
     A, C = ls.w_subproblem_terms(state, ws, pa, ctx)
 
-    w = ls.update_w(state, ws, pa, Pt, OPTS, ctx)
+    w = ls.update_w(state, ws, pa, Pt, ctx)
     power = float(np.linalg.norm(w) ** 2)
     eta = state.eta
 
