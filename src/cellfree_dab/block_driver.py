@@ -7,9 +7,10 @@ and report alike (``Network.report``). Ring and central also share the loop,
 often the FP auxiliaries (mu, zeta) refresh, after every visit or after every
 pass, the two schedules of the quadratic-transform block ascent (Shen & Yu,
 IEEE TSP 2018). Each BS's contribution (Q_b, p_b) is cached; a visit
-subtracts it from the token aggregate (Q, p), sweeps, and adds the fresh one.
-Summed in BS order the cache equals ``fp_core.build_metrics_inputs`` bit for
-bit, so it gives each visit's rate and the check of the token.
+subtracts it from the token aggregate (Q, p), sweeps, and adds the fresh one
+that the sweep hands back (the one its safeguard accepted). Summed in BS
+order the cache equals ``fp_core.build_metrics_inputs`` bit for bit, so it
+gives each visit's rate and the check of the token.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ class Network:
     Q_parts: np.ndarray    # (B, K, K) cached signal/interference blocks
     p_parts: np.ndarray    # (B, K) cached received distortion powers
 
-    def refresh(self, b: int):
-        """Recompute BS b's cached contribution."""
-        self.Q_parts[b], self.p_parts[b] = fp_core.bs_contribution(
-            self.H[b], self.states[b].W, self.pa
+    def visit(self, b: int, ws, opts: SolverOptions, star=None):
+        """Sweep BS b from its cached contribution and cache the result."""
+        self.Q_parts[b], self.p_parts[b] = local_solver.sweep(
+            self.states[b], ws, self.pa, self.Pt, opts, star,
+            contribution=(self.Q_parts[b], self.p_parts[b]),
         )
 
     def inputs(self) -> MetricsInputs:
@@ -64,7 +66,7 @@ class Network:
             diagnostics={
                 **diagnostics,
                 "hermitian_deviation_max": max(
-                    (row[4] for s in states for row in s.trace), default=0.0
+                    local_solver.hermitian_deviation(s.R) for s in states
                 ),
                 "penalty_residuals": [local_solver.penalty_residual(s)
                                       for s in states],
@@ -122,8 +124,7 @@ def run_blocks(net: Network, opts: SolverOptions, order, fp_period: int,
         state = net.states[b]
         Q_hat, p_hat = Q - net.Q_parts[b], p - net.p_parts[b]
         ws = local_solver.build_workspace(net.H[b], fp, Nt, K, Q_hat)
-        local_solver.sweep(state, ws, net.pa, net.Pt, opts)
-        net.refresh(b)
+        net.visit(b, ws, opts)
         Q, p = Q_hat + net.Q_parts[b], p_hat + net.p_parts[b]
         if t % fp_period == 0:
             fp = fp_core.update_fp(

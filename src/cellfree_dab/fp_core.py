@@ -141,32 +141,17 @@ def transformed_objective(inputs: MetricsInputs, fp: FpState) -> float:
     return float(const + delta)
 
 
-def local_objective_ring(Q_hat, H_b, W_b, pa: PaModel, fp: FpState) -> float:
+def local_objective(Q_hat, A, p, mu, zeta) -> float:
     """Single-BS share of the transformed objective, other BSs frozen.
 
-    Equals the global ``delta`` term up to quantities constant in W_b; the
-    other BSs' distortion is one of those constants, so only their
-    signal/interference aggregate ``Q_hat`` enters.
+    ``(A, p)`` is the BS's contribution (``bs_contribution``) and ``Q_hat``
+    the other BSs' signal/interference aggregate. Equals the global
+    ``delta`` term up to quantities constant in the BS's beamformer; the
+    other BSs' distortion is one of those constants. O(K^2).
     """
-    mu, zeta = fp.mu, fp.zeta
-    g = bussgang_gain_diag(W_b, pa)
-    A = H_b.conj().T @ (g[:, None] * W_b)  # K x K local contribution
-    useful = np.sum(2.0 * np.sqrt(1.0 + mu) * np.real(np.conj(zeta) * np.diag(A)))
     aw = np.abs(zeta) ** 2
-    cross = np.sum(aw[:, None] * 2.0 * np.real(np.conj(np.asarray(Q_hat)) * A))
-    own = np.sum(aw[:, None] * np.abs(A) ** 2)
-    if pa.is_ideal:
-        dist = 0.0
-    else:
-        Cd = distortion_cov(W_b, pa)
-        dist = np.sum(aw * np.real(np.einsum("nk,nm,mk->k", H_b.conj(), Cd, H_b)))
+    useful = (2.0 * np.sqrt(1.0 + mu) * (np.conj(zeta) * A.diagonal()).real).sum()
+    cross = (aw[:, None] * 2.0 * (np.conj(Q_hat) * A).real).sum()
+    own = (aw[:, None] * np.abs(A) ** 2).sum()
+    dist = (aw * p).sum()
     return float(useful - dist - cross - own)
-
-
-def central_objective_star(Q_C_list, fp: FpState) -> float:
-    """Aggregation objective over the per-BS global copies."""
-    S = np.sum(np.asarray(Q_C_list, dtype=complex), axis=0)
-    mu, zeta = fp.mu, fp.zeta
-    useful = np.sum(2.0 * np.sqrt(1.0 + mu) * np.real(np.conj(zeta) * np.diag(S)))
-    interf = np.sum(np.abs(zeta) ** 2 * np.sum(np.abs(S) ** 2, axis=1))
-    return float(useful - interf)

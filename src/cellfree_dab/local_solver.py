@@ -35,9 +35,11 @@ in ``validate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import fp_core
 from .common import SolverOptions
 from .fp_core import FpState
 from .pa_model import PaModel
@@ -129,7 +131,10 @@ class Lift:
     reports by how much); it is deliberately not projected onto the
     Hermitian matrices, because that projection would move rates. States
     share a Lift by reference (sweep and star snapshots), so its arrays are
-    never written.
+    never written. That makes two reads safe to compute once per Lift: the
+    block sum F (returned read-only) and the tight-lift distance
+    ||R - u u^H||^2, which every penalty-residual read of a solver state
+    asks for, since a state's w is its lift's u.
     """
 
     u: np.ndarray   # (Nt K,)
@@ -154,10 +159,15 @@ class Lift:
         return self.d.reshape(-1, self.Nt).sum(axis=0)
 
     def block_sum(self) -> np.ndarray:
-        """F, the sum of R's K diagonal Nt x Nt blocks."""
+        """F, the sum of R's K diagonal Nt x Nt blocks (read-only)."""
+        return self._block_sum
+
+    @cached_property
+    def _block_sum(self) -> np.ndarray:
         U = unvec(self.u, self.Nt, self.K)
         F = U @ U.conj().T - self.K * self.E
         np.fill_diagonal(F, self.diag_sum())
+        F.flags.writeable = False
         return F
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
@@ -169,6 +179,15 @@ class Lift:
 
     def distance_sq(self, w: np.ndarray) -> float:
         """||R - w w^H||_F^2; ||R||_F^2 at w = 0."""
+        if w is self.u:
+            return self._tight_distance_sq
+        return self._distance_sq(w)
+
+    @cached_property
+    def _tight_distance_sq(self) -> float:
+        return self._distance_sq(self.u)
+
+    def _distance_sq(self, w: np.ndarray) -> float:
         Nt, K = self.Nt, self.K
         Eo = _off_diagonal(self.E)
         off = K * np.vdot(Eo, Eo).real          # off-diagonal of I_K kron E
@@ -509,23 +528,19 @@ def local_penalized_objective(state: LocalSolverState, ws: Workspace,
                        np.abs(F) ** 2, star)
 
 
-def true_local_objective(W_b: np.ndarray, ws: Workspace, pa: PaModel,
+def true_local_objective(contribution, ws: Workspace,
                          star: StarContext | None = None) -> float:
-    """-delta_b at the true amplifier statistics of W_b (plus consensus AL).
+    """-delta_b at a contribution (plus consensus AL), in O(K^2).
 
-    This is the lift-free value of what a visit is meant to decrease; the
-    sweep uses it as an ascent safeguard.
+    ``contribution`` is ``fp_core.bs_contribution`` (A, p) at the
+    beamformer being judged, so this is the lift-free value, under the true
+    amplifier statistics, of what a visit is meant to decrease; the sweep
+    uses it as an ascent safeguard. The consensus term reads vec(A).
     """
-    from . import fp_core
-
-    fp = FpState(mu=ws.mu, zeta=ws.zeta)
-    val = -fp_core.local_objective_ring(ws.Q_other, ws.H, W_b, pa, fp)
+    A, p = contribution
+    val = -fp_core.local_objective(ws.Q_other, A, p, ws.mu, ws.zeta)
     if star is not None:
-        from .pa_model import bussgang_gain_diag
-
-        g = bussgang_gain_diag(W_b, pa)
-        m = vec(ws.H.conj().T @ (g[:, None] * W_b))
-        val += 0.5 * star.varrho * float(np.linalg.norm(star.target - m) ** 2)
+        val += 0.5 * star.varrho * float(np.linalg.norm(star.target - vec(A)) ** 2)
     return float(val)
 
 
@@ -546,7 +561,8 @@ def hermitian_deviation(R: Lift) -> float:
 # ---------------------------------------------------------------------------
 
 def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
-          opts: SolverOptions, star: StarContext | None = None):
+          opts: SolverOptions, star: StarContext | None = None,
+          contribution=None):
     """Run ``opts.inner_sweeps`` (w-step, lag refresh, R-step) rounds.
 
     Each round carries an ascent safeguard: a move that worsens the true
@@ -554,13 +570,20 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
     grown, shrinking the next step. Without it the lag-linearized distortion
     model overshoots when the FP weights are large. Rho also grows whenever
     the relative penalty residual fails to drop by the configured fraction.
-    Appends one trace row per inner sweep:
-    (objective, penalty_residual, eta, rho, hermitian_deviation).
+
+    ``contribution`` is the BS's (Q_b, p_b) at the entry beamformer, as
+    ``fp_core.bs_contribution(ws.H, state.W, pa)`` returns it (computed here
+    when not given); each attempted move builds one more, and the
+    contribution at the exit beamformer is returned. With
+    ``opts.collect_traces`` on, appends one trace row per inner sweep:
+    (objective, penalty_residual, eta, rho).
     """
+    if contribution is None:
+        contribution = fp_core.bs_contribution(ws.H, state.W, pa)
+    obj_before = true_local_objective(contribution, ws, star)
     for _ in range(opts.inner_sweeps):
         snapshot = (state.w, state.R, state.F_abs_sq, state.eta,
                     state.prev_residual)
-        obj_before = true_local_objective(state.W, ws, pa, star)
         accepted = False
         while True:
             update_w(state, ws, pa, Pt, star)
@@ -574,9 +597,11 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
                 state.rho = min(state.rho * 10.0, opts.rho_cap)
                 update_R(state, ws, pa, star)
                 resid = penalty_residual(state)
-            obj_after = true_local_objective(state.W, ws, pa, star)
+            moved = fp_core.bs_contribution(ws.H, state.W, pa)
+            obj_after = true_local_objective(moved, ws, star)
             if obj_after <= obj_before + 1e-10 * max(1.0, abs(obj_before)):
                 accepted = True
+                contribution, obj_before = moved, obj_after
                 break
             # worsening move: retract the beamformer, re-consolidate the
             # lift onto it (a stale loose R would bias the next step toward
@@ -600,12 +625,11 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
                 and resid > (1.0 - opts.rho_drop_target) * state.prev_residual):
             state.rho = min(state.rho * opts.rho_growth, opts.rho_cap)
         state.prev_residual = resid
-        state.trace.append((
-            local_penalized_objective(state, ws, pa, star),
-            resid,
-            state.eta,
-            state.rho,
-            hermitian_deviation(state.R),
-        ))
-    return state
-
+        if opts.collect_traces:
+            state.trace.append((
+                local_penalized_objective(state, ws, pa, star),
+                resid,
+                state.eta,
+                state.rho,
+            ))
+    return contribution

@@ -19,7 +19,7 @@ from . import block_driver, fp_core, local_solver, metrics
 from .common import SolutionReport, SolverOptions, initial_beamformers
 from .fp_core import FpState, MetricsInputs
 from .local_solver import StarContext, vec
-from .pa_model import PaModel, bussgang_gain_diag
+from .pa_model import PaModel
 from .scenario import ChannelSet, SystemConfig
 
 STAR_TRACE_COLUMNS = (
@@ -54,31 +54,19 @@ def aggregate(Q_L, lam, fp: FpState, varrho: float) -> np.ndarray:
     return V + correction[None, :, :]
 
 
-def aggregation_gradient(Q_C, Q_L, lam, fp: FpState, varrho: float) -> float:
-    """Max norm of the aggregation objective's Wirtinger gradient at Q_C."""
-    Q_C = np.asarray(Q_C)
-    B = Q_C.shape[0]
-    S = Q_C.sum(axis=0)
-    aw = np.abs(fp.zeta) ** 2
-    drive = np.diag(np.sqrt(1.0 + fp.mu) * fp.zeta)
-    lam_m = np.stack([local_solver.unvec(l, Q_C.shape[1], Q_C.shape[1])
-                      for l in np.asarray(lam)])
-    grad = (-drive + aw[:, None] * S)[None, :, :] + 0.5 * varrho * (
-        Q_C - np.asarray(Q_L) + lam_m / varrho
-    )
-    return float(np.abs(grad).max())
-
-
 def interference_share(Q_C) -> np.ndarray:
     """Q_tilde[b] = sum of the other BSs' consensus copies."""
     Q_C = np.asarray(Q_C)
     return Q_C.sum(axis=0)[None, :, :] - Q_C
 
 
-def dual_update(lam_b, Q_C_b, H_b, W_b, pa: PaModel, varrho: float) -> np.ndarray:
-    """Ascend the dual on the consensus residual with a half step."""
-    g = bussgang_gain_diag(W_b, pa)
-    resid = vec(np.asarray(Q_C_b)) - vec(H_b.conj().T @ (g[:, None] * W_b))
+def dual_update(lam_b, Q_C_b, Q_b, varrho: float) -> np.ndarray:
+    """Ascend the dual on the consensus residual vec(Q_C_b) - vec(Q_b).
+
+    ``Q_b`` is the BS's reported signal/interference block; the step is
+    half the penalty.
+    """
+    resid = vec(np.asarray(Q_C_b)) - vec(np.asarray(Q_b))
     return np.asarray(lam_b) + 0.5 * varrho * resid
 
 
@@ -125,9 +113,8 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
         for b in range(B):
             ctx = StarContext(Q_C=Q_C[b], lam=lam[b], varrho=varrho)
             ws = local_solver.build_workspace(H[b], fp, Nt, K, Q_tilde[b])
-            local_solver.sweep(states[b], ws, pa, net.Pt, opts, ctx)
-            lam[b] = dual_update(lam[b], Q_C[b], H[b], states[b].W, pa, varrho)
-            net.refresh(b)
+            net.visit(b, ws, opts, ctx)
+            lam[b] = dual_update(lam[b], Q_C[b], Q_L[b], varrho)
 
         rate = net.rate()
         if rate < rate_prev - 1e-9 * max(1.0, abs(rate_prev)):

@@ -1,4 +1,4 @@
-"""Dense reference for the lifted R, and the ``validate`` CLI self-checks.
+"""Reference implementations, and the ``validate`` CLI self-checks.
 
 The solvers keep the lifted matrix R in structured form
 (``local_solver.Lift``) and never build an (Nt K) x (Nt K) matrix. The dense
@@ -8,6 +8,10 @@ distortion read from a dense R, the dense R-step stationarity system and
 its solve, the R-step objective at a dense R, the gain lifting matrix and
 Jacobian, and the dense views of a ``Workspace``. It is sized for small
 Nt K: the stationarity system alone has (Nt K)^4 entries.
+
+The objectives the solvers evaluate from contributions also have their
+direct forms here: the single-BS objective from the beamformer, and the
+star center's aggregation objective with its gradient.
 
 The checks are a trimmed version of the oracle checks from the test suite,
 sized to run in well under a minute; ``run_validation`` prints one
@@ -22,7 +26,8 @@ from . import fp_core, local_solver, metrics
 from .common import SolverOptions
 from .fp_core import FpState, MetricsInputs
 from .local_solver import Lift, StarContext, Workspace, unvec, vec
-from .pa_model import PaModel, amplify, bussgang_gain, distortion_cov
+from .pa_model import (PaModel, amplify, bussgang_gain, bussgang_gain_diag,
+                       distortion_cov)
 from .ring_solver import run_ring
 from .scenario import desk_profile, make_scenario
 
@@ -156,6 +161,54 @@ def r_subproblem_objective(w: np.ndarray, R: np.ndarray, ws: Workspace,
         w, dense_gain_diag(R, pa, Nt, K), dense_block_sum(R, Nt, K), resid_sq,
         ws, pa, rho, F_abs_sq, star,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference objectives
+# ---------------------------------------------------------------------------
+
+def local_objective_ring(Q_hat, H_b, W_b, pa: PaModel, fp: FpState) -> float:
+    """``fp_core.local_objective`` computed from the beamformer W_b.
+
+    Builds A = H_b^H (g o W_b) and the received distortion powers itself
+    instead of reading them from a contribution.
+    """
+    mu, zeta = fp.mu, fp.zeta
+    g = bussgang_gain_diag(W_b, pa)
+    A = H_b.conj().T @ (g[:, None] * W_b)  # K x K local contribution
+    useful = np.sum(2.0 * np.sqrt(1.0 + mu) * np.real(np.conj(zeta) * np.diag(A)))
+    aw = np.abs(zeta) ** 2
+    cross = np.sum(aw[:, None] * 2.0 * np.real(np.conj(np.asarray(Q_hat)) * A))
+    own = np.sum(aw[:, None] * np.abs(A) ** 2)
+    if pa.is_ideal:
+        dist = 0.0
+    else:
+        Cd = distortion_cov(W_b, pa)
+        dist = np.sum(aw * np.real(np.einsum("nk,nm,mk->k", H_b.conj(), Cd, H_b)))
+    return float(useful - dist - cross - own)
+
+
+def central_objective_star(Q_C_list, fp: FpState) -> float:
+    """Aggregation objective over the per-BS global copies."""
+    S = np.sum(np.asarray(Q_C_list, dtype=complex), axis=0)
+    mu, zeta = fp.mu, fp.zeta
+    useful = np.sum(2.0 * np.sqrt(1.0 + mu) * np.real(np.conj(zeta) * np.diag(S)))
+    interf = np.sum(np.abs(zeta) ** 2 * np.sum(np.abs(S) ** 2, axis=1))
+    return float(useful - interf)
+
+
+def aggregation_gradient(Q_C, Q_L, lam, fp: FpState, varrho: float) -> float:
+    """Max norm of the aggregation objective's Wirtinger gradient at Q_C."""
+    Q_C = np.asarray(Q_C)
+    S = Q_C.sum(axis=0)
+    aw = np.abs(fp.zeta) ** 2
+    drive = np.diag(np.sqrt(1.0 + fp.mu) * fp.zeta)
+    lam_m = np.stack([unvec(l, Q_C.shape[1], Q_C.shape[1])
+                      for l in np.asarray(lam)])
+    grad = (-drive + aw[:, None] * S)[None, :, :] + 0.5 * varrho * (
+        Q_C - np.asarray(Q_L) + lam_m / varrho
+    )
+    return float(np.abs(grad).max())
 
 
 # ---------------------------------------------------------------------------

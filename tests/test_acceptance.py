@@ -141,6 +141,7 @@ def test_criterion_02_w_step_oracle():
         pa = PaModel.reference()
         opts = SolverOptions()
         Nt, K, Pt = 3, 2, 1.0
+        cases = []
         for _ in range(20):
             H = rand_c(rng, Nt, K)
             fp = FpState(mu=rng.uniform(0.1, 2.0, K),
@@ -152,19 +153,24 @@ def test_criterion_02_w_step_oracle():
             rho = state.rho
             w = ls.update_w(state, ws, pa, Pt)
             assert np.linalg.norm(w) ** 2 <= Pt * (1 + 1e-9)
+            cases.append((w, A, C, rho))
 
-            Afull = np.kron(np.eye(K), A)
-            c = ls.vec(C)
-            x = np.zeros(Nt * K, dtype=complex)
-            lips = 2 * np.linalg.eigvalsh(Afull).real.max() + 8 * rho * Pt
-            for _ in range(20000):
-                g = 2 * (Afull @ x + c) + 4 * rho * np.linalg.norm(x) ** 2 * x
-                x = x - g / lips
-                n2 = np.linalg.norm(x) ** 2
-                if n2 > Pt:
-                    x *= np.sqrt(Pt / n2)
-            obj = ls.w_subproblem_objective(w, A, C, rho, Nt, K)
-            obj_pg = ls.w_subproblem_objective(x, A, C, rho, Nt, K)
+        # projected gradient, all 20 instances stacked into one iteration
+        Afull = np.stack([np.kron(np.eye(K), A) for _, A, _, _ in cases])
+        c = np.stack([ls.vec(C) for _, _, C, _ in cases])
+        rho = np.array([r for _, _, _, r in cases])[:, None]
+        x = np.zeros_like(c)
+        lips = (2 * np.linalg.eigvalsh(Afull).real.max(axis=1)[:, None]
+                + 8 * rho * Pt)
+        for _ in range(20000):
+            n2 = np.sum(np.abs(x) ** 2, axis=1, keepdims=True)
+            g = 2 * (np.einsum("cij,cj->ci", Afull, x) + c) + 4 * rho * n2 * x
+            x = x - g / lips
+            n2 = np.sum(np.abs(x) ** 2, axis=1, keepdims=True)
+            x = np.where(n2 > Pt, x * np.sqrt(Pt / n2), x)
+        for (w, A, C, r), x_pg in zip(cases, x):
+            obj = ls.w_subproblem_objective(w, A, C, r, Nt, K)
+            obj_pg = ls.w_subproblem_objective(x_pg, A, C, r, Nt, K)
             assert obj <= obj_pg + 1e-6 * max(1.0, abs(obj_pg))
         assert time.monotonic() - start < 10.0
 
@@ -368,7 +374,7 @@ def test_criterion_11_star_consensus(convergence_runs):
 
         def objective(x):
             Q = x_to_Q(x)
-            val = -fp_core.central_objective_star(list(Q), fp)
+            val = -ref.central_objective_star(list(Q), fp)
             for b in range(B):
                 val += 0.5 * varrho * np.linalg.norm(
                     ls.vec(Q[b]) - ls.vec(Q_L[b]) + lam[b] / varrho) ** 2

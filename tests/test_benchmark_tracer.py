@@ -65,3 +65,30 @@ def test_traced_solves_record_setup_and_sweeps():
         per_solve = Counter(s.solve for s in spans if s.name == name)
         for solve in solves:
             assert per_solve[solve] >= 1, (name, solve)
+
+    # one contribution per BS for the initial cache, then one per visit
+    # plus one per rejected attempt; the Hermitian deviation once per BS,
+    # on the final lift
+    B = cfg.num_bs
+    per_solve = {name: Counter(s.solve for s in spans if s.name == name)
+                 for name in ("local_solver.sweep", "local_solver.update_w",
+                              "local_solver.hermitian_deviation")}
+    contributions = Counter(
+        span.solve for buf in buffers for i, span in enumerate(buf)
+        if span.name == "fp_core.bs_contribution"
+        and not under(buf, i, "common.initial_beamformers"))
+    for solve in solves:
+        visits = per_solve["local_solver.sweep"][solve]
+        rejected = per_solve["local_solver.update_w"][solve] - visits
+        assert contributions[solve] == B + visits + rejected, solve
+        assert per_solve["local_solver.hermitian_deviation"][solve] == B
+
+
+def under(buf, i, name):
+    """Whether span ``i`` of a thread buffer runs inside a span ``name``."""
+    parent = buf[i].parent
+    while parent >= 0:
+        if buf[parent].name == name:
+            return True
+        parent = buf[parent].parent
+    return False

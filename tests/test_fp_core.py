@@ -7,8 +7,6 @@ from cellfree_dab.fp_core import (
     MetricsInputs,
     bs_contribution,
     build_metrics_inputs,
-    central_objective_star,
-    local_objective_ring,
     sindr,
     sum_rate,
     transformed_objective,
@@ -17,6 +15,7 @@ from cellfree_dab.fp_core import (
     update_zeta,
 )
 from cellfree_dab.pa_model import PaModel, bussgang_gain, distortion_cov
+from cellfree_dab.validate import central_objective_star, local_objective_ring
 
 
 def rand_c(rng, *shape, scale=1.0):

@@ -172,19 +172,23 @@ def make_state(rng, ws, rho=1.3, scale=0.6):
     return ls.state_from_beamformer(ls.unvec(w, ws.Nt, ws.K), rho=rho)
 
 
-def pg_oracle(A, C_blocks, rho, Nt, K, Pt, iters=30000):
-    """Projected gradient on the quartic-regularized ball problem."""
-    Afull = np.kron(np.eye(K), A)
-    c = ls.vec(C_blocks)
-    N = Nt * K
-    x = np.zeros(N, dtype=complex)
-    lips = 2 * np.linalg.eigvalsh(Afull).real.max() + 8 * rho * Pt
+def pg_oracle(As, C_blocks, rhos, Nt, K, Pt, iters=30000):
+    """Projected gradient on the quartic-regularized ball problem.
+
+    Runs one iteration over a stack of instances: ``As``, ``C_blocks`` and
+    ``rhos`` hold one instance's data per leading index.
+    """
+    Afull = np.stack([np.kron(np.eye(K), A) for A in As])
+    c = np.stack([ls.vec(C) for C in C_blocks])
+    rho = np.asarray(rhos, dtype=float)[:, None]
+    x = np.zeros_like(c)
+    lips = 2 * np.linalg.eigvalsh(Afull).real.max(axis=1)[:, None] + 8 * rho * Pt
     for _ in range(iters):
-        g = 2 * (Afull @ x + c) + 4 * rho * (np.linalg.norm(x) ** 2) * x
-        x = x - g / max(lips, 1e-12)
-        n2 = np.linalg.norm(x) ** 2
-        if n2 > Pt:
-            x *= np.sqrt(Pt / n2)
+        n2 = np.sum(np.abs(x) ** 2, axis=1, keepdims=True)
+        g = 2 * (np.einsum("cij,cj->ci", Afull, x) + c) + 4 * rho * n2 * x
+        x = x - g / np.maximum(lips, 1e-12)
+        n2 = np.sum(np.abs(x) ** 2, axis=1, keepdims=True)
+        x = np.where(n2 > Pt, x * np.sqrt(Pt / n2), x)
     return x
 
 
@@ -193,6 +197,7 @@ class TestWStep:
         rng = np.random.default_rng(20)
         pa = reference_pa()
         Nt, K, Pt = 3, 2, 1.0
+        cases = []
         for trial in range(8):
             ws = make_workspace(rng, Nt, K)
             state = make_state(rng, ws, rho=float(rng.uniform(0.5, 3.0)))
@@ -200,8 +205,11 @@ class TestWStep:
             rho = state.rho
             w = ls.update_w(state, ws, pa, Pt)
             assert np.linalg.norm(w) ** 2 <= Pt * (1 + 1e-9)
+            cases.append((w, A, C, rho))
+        xs = pg_oracle([A for _, A, _, _ in cases], [C for _, _, C, _ in cases],
+                       [rho for _, _, _, rho in cases], Nt, K, Pt)
+        for (w, A, C, rho), x in zip(cases, xs):
             obj = ls.w_subproblem_objective(w, A, C, rho, Nt, K)
-            x = pg_oracle(A, C, rho, Nt, K, Pt)
             obj_pg = ls.w_subproblem_objective(x, A, C, rho, Nt, K)
             assert obj <= obj_pg + 1e-6 * max(1.0, abs(obj_pg))
 
@@ -428,7 +436,7 @@ def test_local_trace_and_dump():
     state = make_state(rng, ws)
     ls.sweep(state, ws, pa, 1.0, SolverOptions(inner_sweeps=3))
     assert len(state.trace) == 3
-    assert all(len(row) == 5 for row in state.trace)
+    assert all(len(row) == 4 for row in state.trace)
 
 
 def test_hermitian_deviation_zero_for_hermitian():

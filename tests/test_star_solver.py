@@ -8,10 +8,10 @@ from cellfree_dab.fp_core import FpState
 from cellfree_dab.local_solver import unvec, vec
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag
 from cellfree_dab.scenario import desk_profile, make_scenario
+from cellfree_dab.validate import aggregation_gradient, central_objective_star
 from cellfree_dab.star_solver import (
     STAR_TRACE_COLUMNS,
     aggregate,
-    aggregation_gradient,
     consensus_residual,
     dual_update,
     interference_share,
@@ -83,7 +83,7 @@ def test_aggregate_matches_dense_probing():
 
     def objective(x):
         Q = x_to_Q(x)
-        val = -fp_core.central_objective_star(list(Q), fp)
+        val = -central_objective_star(list(Q), fp)
         for b in range(B):
             val += 0.5 * varrho * np.linalg.norm(
                 vec(Q[b]) - vec(Q_L[b]) + lam[b] / varrho
@@ -128,11 +128,11 @@ def test_dual_update_fixed_point_and_step():
     g = bussgang_gain_diag(W, pa)
     Q_exact = H.conj().T @ (g[:, None] * W)
     lam = rand_c(rng, K * K)
-    assert np.allclose(dual_update(lam, Q_exact, H, W, pa, 9.0), lam)
+    assert np.allclose(dual_update(lam, Q_exact, Q_exact, 9.0), lam)
 
     Q_off = Q_exact + rand_c(rng, K, K)
     resid = vec(Q_off) - vec(Q_exact)
-    stepped = dual_update(np.zeros(K * K), Q_off, H, W, pa, 9.0)
+    stepped = dual_update(np.zeros(K * K), Q_off, Q_exact, 9.0)
     assert np.allclose(stepped, 0.5 * 9.0 * resid)
 
 
