@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .central_solver import SolveMode, run_central
-from .common import SolutionReport, SolverOptions
+from .central_solver import run_central
+from .common import SolutionReport, SolveMode, SolverOptions
 from .pa_model import PaModel
 from .ring_solver import run_ring
 from .scenario import SystemConfig, desk_profile, full_profile, make_scenario

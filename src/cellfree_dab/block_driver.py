@@ -38,10 +38,10 @@ class Network:
     Q_parts: np.ndarray    # (B, K, K) cached signal/interference blocks
     p_parts: np.ndarray    # (B, K) cached received distortion powers
 
-    def visit(self, b: int, ws, opts: SolverOptions, star=None):
+    def visit(self, b: int, ws, star=None):
         """Sweep BS b from its cached contribution and cache the result."""
         self.Q_parts[b], self.p_parts[b] = local_solver.sweep(
-            self.states[b], ws, self.pa, self.Pt, opts, star,
+            self.states[b], ws, self.pa, self.Pt, star,
             contribution=(self.Q_parts[b], self.p_parts[b]),
         )
 
@@ -71,12 +71,12 @@ class Network:
                 "penalty_residuals": [local_solver.penalty_residual(s)
                                       for s in states],
                 "ridge_fallbacks": sum(s.ridge_fallbacks for s in states),
+                "rejected_sweeps": sum(s.rejected_sweeps for s in states),
             },
         )
 
 
-def setup(channels, config, pa: PaModel, opts: SolverOptions,
-          initial_beamformers) -> Network:
+def setup(channels, config, pa: PaModel, initial_beamformers) -> Network:
     """Normalize the channel and start every BS from ``initial_beamformers``.
 
     Solvers pass their own module binding of ``common.initial_beamformers``,
@@ -87,8 +87,7 @@ def setup(channels, config, pa: PaModel, opts: SolverOptions,
     sigma2 = np.asarray(config.sigma2) / scale**2
     Pt = config.power_budget
     W0 = initial_beamformers(H, Pt, pa, sigma2)
-    states = [local_solver.state_from_beamformer(W0_b, opts.rho_init)
-              for W0_b in W0]
+    states = [local_solver.state_from_beamformer(W0_b) for W0_b in W0]
     parts = [fp_core.bs_contribution(H_b, s.W, pa) for H_b, s in zip(H, states)]
     return Network(H=H, sigma2=sigma2, scale=scale, Pt=Pt, pa=pa,
                    states=states, Q_parts=np.stack([Q for Q, _ in parts]),
@@ -99,7 +98,7 @@ def converged(rate: float, rate_prev: float, states, opts: SolverOptions) -> boo
     """Pass-end test: the rate has settled and every lift is tight."""
     return (abs(rate - rate_prev) <= opts.tol * max(1.0, abs(rate_prev))
             and max(local_solver.penalty_residual(s) for s in states)
-            <= opts.penalty_resid_tol)
+            <= local_solver.PENALTY_RESID_TOL)
 
 
 def run_blocks(net: Network, opts: SolverOptions, order, fp_period: int,
@@ -109,7 +108,8 @@ def run_blocks(net: Network, opts: SolverOptions, order, fp_period: int,
     The FP auxiliaries are refreshed from the token after every
     ``fp_period``-th visit. Trace rows are (visit, bs, surrogate objective,
     sum rate, penalty residual, ring values relayed so far), cut to
-    ``len(trace_columns)``.
+    ``len(trace_columns)``; the surrogate is the visited BS's penalized
+    objective after its sweep, and the residual the one the sweep left.
     """
     B, Nt, K = net.H.shape
     exact = net.inputs()
@@ -124,7 +124,7 @@ def run_blocks(net: Network, opts: SolverOptions, order, fp_period: int,
         state = net.states[b]
         Q_hat, p_hat = Q - net.Q_parts[b], p - net.p_parts[b]
         ws = local_solver.build_workspace(net.H[b], fp, Nt, K, Q_hat)
-        net.visit(b, ws, opts)
+        net.visit(b, ws)
         Q, p = Q_hat + net.Q_parts[b], p_hat + net.p_parts[b]
         if t % fp_period == 0:
             fp = fp_core.update_fp(
@@ -137,10 +137,10 @@ def run_blocks(net: Network, opts: SolverOptions, order, fp_period: int,
         rate = fp_core.sum_rate(exact)
         if not np.isfinite(rate):
             raise RuntimeError(f"non-finite sum rate at visit {t}")
-        if opts.collect_traces:
-            obj, resid = state.trace[-1][:2]
-            row = (t, b, obj, rate, resid, metrics.overhead_ring(K, t))
-            trace.append(row[:len(trace_columns)])
+        obj = local_solver.local_penalized_objective(state, ws, net.pa)
+        row = (t, b, obj, rate, state.prev_residual,
+               metrics.overhead_ring(K, t))
+        trace.append(row[:len(trace_columns)])
 
         if t % B == 0:
             done = converged(rate, rate_prev, net.states, opts)

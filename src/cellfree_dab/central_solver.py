@@ -1,4 +1,4 @@
-"""Centralized baseline plus the DAB/DUB/IDEAL design-evaluation modes.
+"""Centralized baseline for the DAB/DUB/IDEAL design-evaluation modes.
 
 The centralized design runs the ring solver's loop
 (``block_driver.run_blocks``) with two differences: a pass visits the BSs
@@ -9,8 +9,6 @@ deliberately out of scope.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import block_driver
 from .common import SolutionReport, SolverOptions, initial_beamformers
@@ -25,48 +23,16 @@ CENTRAL_TRACE_COLUMNS = (
     "penalty_residual",
 )
 
-MODE_TAGS = ("DAB", "DUB", "IDEAL")
 
+def run_central(channels: ChannelSet, config: SystemConfig, pa: PaModel,
+                opts: SolverOptions | None = None) -> SolutionReport:
+    """Block-coordinate centralized solve under the design amplifier ``pa``.
 
-@dataclass(frozen=True)
-class SolveMode:
-    """Design/evaluation PA pairing for one experiment arm."""
-
-    tag: str
-    design_pa: PaModel
-    eval_pa: PaModel
-
-    def __post_init__(self):
-        if self.tag not in MODE_TAGS:
-            raise ValueError(f"unknown mode tag {self.tag!r}")
-
-    @classmethod
-    def dab(cls, true_pa: PaModel) -> "SolveMode":
-        return cls("DAB", design_pa=true_pa, eval_pa=true_pa)
-
-    @classmethod
-    def dub(cls, true_pa: PaModel) -> "SolveMode":
-        return cls("DUB", design_pa=PaModel.ideal(), eval_pa=true_pa)
-
-    @classmethod
-    def ideal(cls) -> "SolveMode":
-        return cls("IDEAL", design_pa=PaModel.ideal(), eval_pa=PaModel.ideal())
-
-    @classmethod
-    def from_tag(cls, tag: str, true_pa: PaModel) -> "SolveMode":
-        return {"DAB": cls.dab, "DUB": cls.dub}.get(
-            tag, lambda _: cls.ideal()
-        )(true_pa)
-
-
-def run_central(channels: ChannelSet, config: SystemConfig,
-                opts: SolverOptions | None = None,
-                mode: SolveMode | None = None) -> SolutionReport:
-    """Block-coordinate centralized solve under ``mode.design_pa``."""
+    The DAB, DUB and IDEAL arms differ only in ``pa``: the true amplifier,
+    or ``PaModel.ideal()`` for the two distortion-unaware designs.
+    """
     opts = opts or SolverOptions()
-    mode = mode or SolveMode.ideal()
-    net = block_driver.setup(channels, config, mode.design_pa, opts,
-                             initial_beamformers)
+    net = block_driver.setup(channels, config, pa, initial_beamformers)
     B = net.H.shape[0]
     return block_driver.run_blocks(net, opts, order=range(B), fp_period=B,
                                    trace_columns=CENTRAL_TRACE_COLUMNS)

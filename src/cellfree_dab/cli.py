@@ -13,10 +13,10 @@ import sys
 import numpy as np
 
 from . import metrics
-from .common import SolverOptions
+from .common import MODE_TAGS, SolverOptions
 from .harness import (
+    SOLVERS,
     ExperimentSpec,
-    dbm_to_watt,
     run_beampattern,
     run_experiment,
 )
@@ -59,18 +59,16 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default="out")
     sub.add_argument("--trials", type=int, default=20)
-    sub.add_argument("--solver", choices=["ring", "star", "central", "all"],
-                     default="all")
-    sub.add_argument("--mode", choices=["DAB", "DUB", "IDEAL", "all"],
-                     default="all")
+    sub.add_argument("--solver", choices=[*SOLVERS, "all"], default="all")
+    sub.add_argument("--mode", choices=[*MODE_TAGS, "all"], default="all")
 
 
 def _solvers(args):
-    return ("ring", "star", "central") if args.solver == "all" else (args.solver,)
+    return SOLVERS if args.solver == "all" else (args.solver,)
 
 
 def _modes(args):
-    return ("DAB", "DUB", "IDEAL") if args.mode == "all" else (args.mode,)
+    return MODE_TAGS if args.mode == "all" else (args.mode,)
 
 
 def build_parser() -> _Parser:

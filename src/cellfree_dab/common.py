@@ -7,39 +7,65 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fp_core import FpState
+from .pa_model import PaModel
 
 
 @dataclass
 class SolverOptions:
     """Knobs common to the centralized, ring, and star solvers.
 
-    ``max_outer`` counts full ring passes (ring) or outer iterations
-    (star/central). ``inner_sweeps`` is the number of (w, lag, R) sweeps a BS
-    performs per visit; the distributed algorithms use one per visit.
-    ``tol`` and ``penalty_resid_tol`` (plus ``consensus_tol`` for star) make
-    up the pass-end convergence test.
+    ``max_outer`` counts full passes (ring and central) or outer iterations
+    (star). ``tol`` bounds the relative sum-rate change of the pass-end
+    convergence test, which also asks every lift to be tight
+    (``local_solver.PENALTY_RESID_TOL``) and, for star, the consensus to
+    hold (``star_solver.CONSENSUS_TOL``). ``varrho`` is star's consensus
+    ADMM penalty; ring and central do not read it.
     """
 
     max_outer: int = 30
     tol: float = 1e-4
-    inner_sweeps: int = 1
-    rho_init: float = 1.0
-    rho_growth: float = 1.5
-    rho_cap: float = 1e6
-    rho_drop_target: float = 0.10
-    residual_guard: float = 1.0
-    penalty_resid_tol: float = 1e-3
     varrho: float = 10.0
-    consensus_tol: float = 1e-3
-    collect_traces: bool = True
 
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.inner_sweeps < 1:
-            raise ValueError("inner_sweeps must be >= 1")
-        if self.rho_init <= 0 or self.varrho <= 0:
-            raise ValueError("penalty coefficients must be positive")
+        if self.varrho <= 0:
+            raise ValueError("varrho must be positive")
+
+
+MODE_TAGS = ("DAB", "DUB", "IDEAL")
+
+
+@dataclass(frozen=True)
+class SolveMode:
+    """Design/evaluation PA pairing for one experiment arm."""
+
+    tag: str
+    design_pa: PaModel
+    eval_pa: PaModel
+
+    def __post_init__(self):
+        if self.tag not in MODE_TAGS:
+            raise ValueError(f"unknown mode tag {self.tag!r}")
+
+    @classmethod
+    def dab(cls, true_pa: PaModel) -> "SolveMode":
+        return cls("DAB", design_pa=true_pa, eval_pa=true_pa)
+
+    @classmethod
+    def dub(cls, true_pa: PaModel) -> "SolveMode":
+        return cls("DUB", design_pa=PaModel.ideal(), eval_pa=true_pa)
+
+    @classmethod
+    def ideal(cls) -> "SolveMode":
+        return cls("IDEAL", design_pa=PaModel.ideal(), eval_pa=PaModel.ideal())
+
+    @classmethod
+    def from_tag(cls, tag: str, true_pa: PaModel) -> "SolveMode":
+        makers = {"DAB": cls.dab, "DUB": cls.dub, "IDEAL": lambda _: cls.ideal()}
+        if tag not in makers:
+            raise ValueError(f"unknown mode tag {tag!r}")
+        return makers[tag](true_pa)
 
 
 def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2,

@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics
-from .central_solver import MODE_TAGS, SolveMode, run_central
-from .common import SolverOptions
+from . import __version__, metrics, scenario
+from .central_solver import run_central
+from .common import MODE_TAGS, SolveMode, SolverOptions
 from .pa_model import PaModel
 from .ring_solver import run_ring
 from .star_solver import run_star
-from .scenario import SystemConfig, desk_profile, make_scenario
+from .scenario import SystemConfig, desk_profile
 
 SOLVERS = ("ring", "star", "central")
 THREADS_ENV = "CELLFREE_DAB_THREADS"
@@ -89,13 +89,15 @@ def config_for_value(base: SystemConfig, var: str | None, value) -> SystemConfig
 
 def run_solver(name: str, channels, config: SystemConfig, mode: SolveMode,
                opts: SolverOptions):
-    if name == "central":
-        return run_central(channels, config, opts, mode)
-    if name == "ring":
-        return run_ring(channels, config, mode.design_pa, opts)
-    if name == "star":
-        return run_star(channels, config, mode.design_pa, opts)
-    raise ValueError(f"unknown solver {name!r}")
+    """Run solver ``name`` under ``mode.design_pa``.
+
+    The solver is looked up among this module's globals at call time, so a
+    profiler that replaces ``run_ring``, ``run_star`` or ``run_central``
+    here sees the call.
+    """
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}")
+    return globals()[f"run_{name}"](channels, config, mode.design_pa, opts)
 
 
 def _worker_count() -> int:
@@ -107,12 +109,8 @@ def _worker_count() -> int:
 
 def _one_task(spec: ExperimentSpec, value, solver: str, tag: str, trial: int):
     config = config_for_value(spec.scenario, spec.sweep_var, value)
-    seed = trial_seed(config.rng_seed, trial)
-    rng = np.random.default_rng(seed)
-    from .scenario import generate_channel, place_network
-
-    geom = place_network(config, rng)
-    channels = generate_channel(geom, config, rng)
+    _, channels = scenario.make_scenario(
+        config, seed=trial_seed(config.rng_seed, trial))
     mode = SolveMode.from_tag(tag, spec.pa)
     row = {
         "value": value if spec.sweep_var is not None else "",
@@ -223,11 +221,8 @@ def run_beampattern(config: SystemConfig, pa: PaModel, opts: SolverOptions,
     """Solve one scenario per mode and export per-BS radiation patterns."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(trial_seed(config.rng_seed, trial))
-    from .scenario import generate_channel, place_network
-
-    geom = place_network(config, rng)
-    channels = generate_channel(geom, config, rng)
+    _, channels = scenario.make_scenario(
+        config, seed=trial_seed(config.rng_seed, trial))
     angles = metrics.default_angle_grid()
     files = []
     for tag in modes:

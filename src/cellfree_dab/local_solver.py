@@ -30,6 +30,14 @@ kept in that structured form (``Lift``) and read only through it, so a visit
 costs O(Nt^3 + Nt^2 K) time and O(Nt^2 + Nt K) memory; the (Nt K)^2 dense
 reference (expansion, stationarity system, objective, lifting matrix) lives
 in ``validate``.
+
+The penalty coefficient rho follows one fixed schedule. A BS starts at
+``RHO_INIT``; a visit multiplies rho by ``RHO_GROWTH`` when its relative
+penalty residual ||R - w w^H|| / ||w w^H|| drops by less than the fraction
+``RHO_DROP_TARGET`` (by up to 10x when the residual exceeds ten times
+``PENALTY_RESID_TOL``, the tightness the solvers' convergence test asks
+for), by 10 for each rejected move and while the residual exceeds
+``RESIDUAL_GUARD``; it never exceeds ``RHO_CAP``.
 """
 
 from __future__ import annotations
@@ -40,9 +48,15 @@ from functools import cached_property
 import numpy as np
 
 from . import fp_core
-from .common import SolverOptions
 from .fp_core import FpState
 from .pa_model import PaModel
+
+RHO_INIT = 1.0
+RHO_GROWTH = 1.5
+RHO_CAP = 1e6
+RHO_DROP_TARGET = 0.10
+RESIDUAL_GUARD = 1.0
+PENALTY_RESID_TOL = 1e-3
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -220,11 +234,10 @@ class LocalSolverState:
     R: Lift
     F_abs_sq: np.ndarray     # (Nt, Nt) lagged |F|^2 factor
     eta: float = 0.0
-    rho: float = 1.0
+    rho: float = RHO_INIT
     prev_residual: float | None = None
     ridge_fallbacks: int = 0
     rejected_sweeps: int = 0
-    trace: list = field(default_factory=list)
 
     @property
     def W(self) -> np.ndarray:
@@ -232,7 +245,8 @@ class LocalSolverState:
         return unvec(self.w, Nt, self.w.size // Nt)
 
 
-def state_from_beamformer(W0_b: np.ndarray, rho: float = 1.0) -> LocalSolverState:
+def state_from_beamformer(W0_b: np.ndarray,
+                          rho: float = RHO_INIT) -> LocalSolverState:
     W0_b = np.asarray(W0_b)
     w0 = vec(W0_b)
     R0 = Lift.rank_one(w0, W0_b.shape[0])
@@ -561,75 +575,63 @@ def hermitian_deviation(R: Lift) -> float:
 # ---------------------------------------------------------------------------
 
 def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
-          opts: SolverOptions, star: StarContext | None = None,
-          contribution=None):
-    """Run ``opts.inner_sweeps`` (w-step, lag refresh, R-step) rounds.
+          star: StarContext | None = None, contribution=None):
+    """One (w-step, lag refresh, R-step) round with an ascent safeguard.
 
-    Each round carries an ascent safeguard: a move that worsens the true
-    (lift-free) local objective is rolled back and the penalty coefficient
-    grown, shrinking the next step. Without it the lag-linearized distortion
-    model overshoots when the FP weights are large. Rho also grows whenever
-    the relative penalty residual fails to drop by the configured fraction.
+    A move that worsens the true (lift-free) local objective is rolled back
+    and the penalty coefficient grown, shrinking the next step. Without it
+    the lag-linearized distortion model overshoots when the FP weights are
+    large. Rho also grows whenever the relative penalty residual fails to
+    drop by ``RHO_DROP_TARGET``; the residual is left in
+    ``state.prev_residual``.
 
     ``contribution`` is the BS's (Q_b, p_b) at the entry beamformer, as
     ``fp_core.bs_contribution(ws.H, state.W, pa)`` returns it (computed here
     when not given); each attempted move builds one more, and the
-    contribution at the exit beamformer is returned. With
-    ``opts.collect_traces`` on, appends one trace row per inner sweep:
-    (objective, penalty_residual, eta, rho).
+    contribution at the exit beamformer is returned.
     """
     if contribution is None:
         contribution = fp_core.bs_contribution(ws.H, state.W, pa)
     obj_before = true_local_objective(contribution, ws, star)
-    for _ in range(opts.inner_sweeps):
-        snapshot = (state.w, state.R, state.F_abs_sq, state.eta,
-                    state.prev_residual)
-        accepted = False
-        while True:
-            update_w(state, ws, pa, Pt, star)
-            state.F_abs_sq = lagged_factor(state.R)
+    w_entry, eta_entry = state.w, state.eta
+    accepted = False
+    while True:
+        update_w(state, ws, pa, Pt, star)
+        state.F_abs_sq = lagged_factor(state.R)
+        update_R(state, ws, pa, star)
+        resid = penalty_residual(state)
+        # trust-region guard: the lagged distortion model is only valid
+        # near w w^H, and a runaway R feeds back through the lag into
+        # divergence
+        while resid > RESIDUAL_GUARD and state.rho < RHO_CAP:
+            state.rho = min(state.rho * 10.0, RHO_CAP)
             update_R(state, ws, pa, star)
             resid = penalty_residual(state)
-            # trust-region guard: the lagged distortion model is only valid
-            # near w w^H, and a runaway R feeds back through the lag into
-            # divergence
-            while resid > opts.residual_guard and state.rho < opts.rho_cap:
-                state.rho = min(state.rho * 10.0, opts.rho_cap)
-                update_R(state, ws, pa, star)
-                resid = penalty_residual(state)
-            moved = fp_core.bs_contribution(ws.H, state.W, pa)
-            obj_after = true_local_objective(moved, ws, star)
-            if obj_after <= obj_before + 1e-10 * max(1.0, abs(obj_before)):
-                accepted = True
-                contribution, obj_before = moved, obj_after
-                break
-            # worsening move: retract the beamformer, re-consolidate the
-            # lift onto it (a stale loose R would bias the next step toward
-            # its own direction, the harder the stiffer the penalty), then
-            # retry with a stiffer penalty
-            state.w, _, _, state.eta, state.prev_residual = snapshot
-            state.R = Lift.rank_one(state.w, ws.Nt)
-            state.F_abs_sq = lagged_factor(state.R)
-            state.rejected_sweeps += 1
-            if state.rho >= opts.rho_cap:
-                break
-            state.rho = min(state.rho * 10.0, opts.rho_cap)
-        resid = penalty_residual(state)
-        if accepted and resid > 10.0 * opts.penalty_resid_tol:
-            # far from a tight lift: grow the penalty in proportion
-            boost = min(10.0, resid / (10.0 * opts.penalty_resid_tol))
-            state.rho = min(state.rho * max(boost, opts.rho_growth),
-                            opts.rho_cap)
-        elif (accepted
-                and state.prev_residual is not None
-                and resid > (1.0 - opts.rho_drop_target) * state.prev_residual):
-            state.rho = min(state.rho * opts.rho_growth, opts.rho_cap)
-        state.prev_residual = resid
-        if opts.collect_traces:
-            state.trace.append((
-                local_penalized_objective(state, ws, pa, star),
-                resid,
-                state.eta,
-                state.rho,
-            ))
+        moved = fp_core.bs_contribution(ws.H, state.W, pa)
+        obj_after = true_local_objective(moved, ws, star)
+        if obj_after <= obj_before + 1e-10 * max(1.0, abs(obj_before)):
+            accepted = True
+            contribution = moved
+            break
+        # worsening move: retract the beamformer, re-consolidate the
+        # lift onto it (a stale loose R would bias the next step toward
+        # its own direction, the harder the stiffer the penalty), then
+        # retry with a stiffer penalty
+        state.w, state.eta = w_entry, eta_entry
+        state.R = Lift.rank_one(state.w, ws.Nt)
+        state.F_abs_sq = lagged_factor(state.R)
+        state.rejected_sweeps += 1
+        if state.rho >= RHO_CAP:
+            break
+        state.rho = min(state.rho * 10.0, RHO_CAP)
+    resid = penalty_residual(state)
+    if accepted and resid > 10.0 * PENALTY_RESID_TOL:
+        # far from a tight lift: grow the penalty in proportion
+        boost = min(10.0, resid / (10.0 * PENALTY_RESID_TOL))
+        state.rho = min(state.rho * max(boost, RHO_GROWTH), RHO_CAP)
+    elif (accepted
+            and state.prev_residual is not None
+            and resid > (1.0 - RHO_DROP_TARGET) * state.prev_residual):
+        state.rho = min(state.rho * RHO_GROWTH, RHO_CAP)
+    state.prev_residual = resid
     return contribution

@@ -30,7 +30,7 @@ def run_ring(channels: ChannelSet, config: SystemConfig, pa: PaModel,
              opts: SolverOptions | None = None) -> SolutionReport:
     """Token-passing solve; ``opts.max_outer`` counts full ring passes."""
     opts = opts or SolverOptions()
-    net = block_driver.setup(channels, config, pa, opts, initial_beamformers)
+    net = block_driver.setup(channels, config, pa, initial_beamformers)
     B, _, K = net.H.shape
     report = block_driver.run_blocks(net, opts, order=[*range(1, B), 0],
                                      fp_period=1,

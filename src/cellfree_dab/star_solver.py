@@ -22,6 +22,9 @@ from .local_solver import StarContext, vec
 from .pa_model import PaModel
 from .scenario import ChannelSet, SystemConfig
 
+# consensus residual below which an iteration counts as agreed
+CONSENSUS_TOL = 1e-3
+
 STAR_TRACE_COLUMNS = (
     "iter",
     "sum_rate",
@@ -83,7 +86,7 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
              opts: SolverOptions | None = None) -> SolutionReport:
     """Consensus-ADMM solve; ``opts.max_outer`` counts outer iterations."""
     opts = opts or SolverOptions()
-    net = block_driver.setup(channels, config, pa, opts, initial_beamformers)
+    net = block_driver.setup(channels, config, pa, initial_beamformers)
     H, states, varrho = net.H, net.states, opts.varrho
     B, Nt, K = H.shape
     Q_L, p_L = net.Q_parts, net.p_parts  # the BSs' latest reports
@@ -113,7 +116,7 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
         for b in range(B):
             ctx = StarContext(Q_C=Q_C[b], lam=lam[b], varrho=varrho)
             ws = local_solver.build_workspace(H[b], fp, Nt, K, Q_tilde[b])
-            net.visit(b, ws, opts, ctx)
+            net.visit(b, ws, ctx)
             lam[b] = dual_update(lam[b], Q_C[b], Q_L[b], varrho)
 
         rate = net.rate()
@@ -124,7 +127,7 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
             saved_states, lam, Q_L[:], p_L[:], Q_C, fp = snapshot
             for s, vals in zip(states, saved_states):
                 s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual = vals
-                s.rho = min(s.rho * 10.0, opts.rho_cap)
+                s.rho = min(s.rho * 10.0, local_solver.RHO_CAP)
             rejected_iterations += 1
             rate = rate_prev
 
@@ -133,10 +136,9 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
         if not np.isfinite(rate):
             raise RuntimeError(f"non-finite sum rate at iteration {it}")
         download, upload, total = metrics.overhead_star(B, K, it)
-        if opts.collect_traces:
-            trace.append((it, rate, resid, download, upload))
+        trace.append((it, rate, resid, download, upload))
 
-        done = (resid <= opts.consensus_tol
+        done = (resid <= CONSENSUS_TOL
                 and block_driver.converged(rate, rate_prev, states, opts))
         if done:
             break

@@ -14,7 +14,7 @@ import pytest
 from cellfree_dab import fp_core, local_solver as ls, metrics
 from cellfree_dab import validate as ref
 from cellfree_dab.common import SolverOptions
-from cellfree_dab.central_solver import SolveMode, run_central
+from cellfree_dab.central_solver import run_central
 from cellfree_dab.fp_core import FpState, MetricsInputs
 from cellfree_dab.pa_model import PaModel, amplify, bussgang_gain, distortion_cov
 from cellfree_dab.ring_solver import run_ring
@@ -82,14 +82,14 @@ def ordering_runs():
     for seed in range(N_SEEDS):
         cfg = desk_profile(rng_seed=seed, power_budget=dbm(PT_HIGH_DBM))
         _, ch = make_scenario(cfg)
-        rep_dub = run_central(ch, cfg, opts, SolveMode.dub(pa))
+        rep_dub = run_central(ch, cfg, PaModel.ideal(), opts)
         inputs = fp_core.build_metrics_inputs(ch.H, rep_dub.W, pa, cfg.sigma2)
         interference = (np.sum(np.abs(inputs.Qsum) ** 2, axis=1)
                         - np.abs(np.diag(inputs.Qsum)) ** 2)
         rows.append({
-            "ideal": evaluate(ch, run_central(ch, cfg, opts, SolveMode.ideal()).W,
+            "ideal": evaluate(ch, run_central(ch, cfg, PaModel.ideal(), opts).W,
                               PaModel.ideal(), cfg.sigma2).sum_rate,
-            "central": evaluate(ch, run_central(ch, cfg, opts, SolveMode.dab(pa)).W,
+            "central": evaluate(ch, run_central(ch, cfg, pa, opts).W,
                                 pa, cfg.sigma2).sum_rate,
             "star": evaluate(ch, run_star(ch, cfg, pa, opts).W, pa,
                              cfg.sigma2).sum_rate,
@@ -301,10 +301,10 @@ def test_criterion_08_dub_nonmonotone_dab_saturates():
                 cfg = desk_profile(rng_seed=seed, power_budget=dbm(pt))
                 _, ch = make_scenario(cfg)
                 acc["dub"].append(
-                    evaluate(ch, run_central(ch, cfg, opts, SolveMode.dub(pa)).W,
+                    evaluate(ch, run_central(ch, cfg, PaModel.ideal(), opts).W,
                              pa, cfg.sigma2).sum_rate)
                 acc["central"].append(
-                    evaluate(ch, run_central(ch, cfg, opts, SolveMode.dab(pa)).W,
+                    evaluate(ch, run_central(ch, cfg, pa, opts).W,
                              pa, cfg.sigma2).sum_rate)
                 acc["ring"].append(
                     evaluate(ch, run_ring(ch, cfg, pa, opts).W, pa,

@@ -67,7 +67,7 @@ def test_lift_reads_match_dense_expansion():
     for i in range(60):
         Nt, K = (int(n) for n in rng.integers(1, 6, size=2))
         ws, ctx = random_case(rng, Nt, K, star=i % 2 == 1)
-        rho = float(10.0 ** rng.uniform(-3.0, np.log10(OPTS.rho_cap)))
+        rho = float(10.0 ** rng.uniform(-3.0, np.log10(ls.RHO_CAP)))
         w = rand_c(rng, Nt * K, scale=0.7)
         state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=rho)
         check_reads(state, ws, pa, ctx)          # the tight lift w w^H
@@ -85,7 +85,7 @@ def test_lift_reads_match_dense_expansion():
                                     F_abs_sq=lag, rho=rho)
         check_reads(other, ws, pa, ctx)
 
-        ls.sweep(state, ws, pa, 1.0, OPTS, ctx)
+        ls.sweep(state, ws, pa, 1.0, ctx)
         check_reads(state, ws, pa, ctx)
 
 
@@ -111,7 +111,7 @@ def test_sweep_never_builds_a_dense_lift():
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        ls.sweep(state, ws, pa, 1.0, OPTS)
+        ls.sweep(state, ws, pa, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,7 +3,6 @@ import pytest
 
 from cellfree_dab import local_solver as ls
 from cellfree_dab import validate as ref
-from cellfree_dab.common import SolverOptions
 from cellfree_dab.fp_core import FpState
 from cellfree_dab.pa_model import PaModel, bussgang_gain, distortion_cov
 
@@ -370,13 +369,12 @@ def fd_gradient(fun, R, h=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# sweeps: descent, penalty path, traces
+# sweeps: descent, penalty path
 # ---------------------------------------------------------------------------
 
 def test_sweep_descends_penalized_objective():
     rng = np.random.default_rng(40)
     pa = reference_pa()
-    opts = SolverOptions(inner_sweeps=1)
     Nt, K, Pt = 2, 2, 1.0
     for _ in range(6):
         ws = make_workspace(rng, Nt, K, zeta_scale=0.5)
@@ -384,7 +382,7 @@ def test_sweep_descends_penalized_objective():
         prev = ls.local_penalized_objective(state, ws, pa)
         for _ in range(8):
             rho_before = state.rho
-            ls.sweep(state, ws, pa, Pt, opts)
+            ls.sweep(state, ws, pa, Pt)
             # compare at the rho under which the sweep optimized
             state_between = ls.LocalSolverState(
                 w=state.w, R=state.R, F_abs_sq=state.F_abs_sq, rho=rho_before
@@ -420,23 +418,12 @@ def test_sweep_default_schedule_tightens_residual():
     rng = np.random.default_rng(44)
     pa = reference_pa()
     Nt, K, Pt = 2, 2, 1.0
-    opts = SolverOptions(inner_sweeps=1)
     ws = make_workspace(rng, Nt, K, zeta_scale=0.5)
-    state = make_state(rng, ws, rho=opts.rho_init,
+    state = make_state(rng, ws, rho=ls.RHO_INIT,
                        scale=np.sqrt(Pt / (Nt * K)))
     for _ in range(30):
-        ls.sweep(state, ws, pa, Pt, opts)
-    assert ls.penalty_residual(state) <= opts.penalty_resid_tol
-
-
-def test_local_trace_and_dump():
-    rng = np.random.default_rng(42)
-    pa = reference_pa()
-    ws = make_workspace(rng, 2, 2)
-    state = make_state(rng, ws)
-    ls.sweep(state, ws, pa, 1.0, SolverOptions(inner_sweeps=3))
-    assert len(state.trace) == 3
-    assert all(len(row) == 4 for row in state.trace)
+        ls.sweep(state, ws, pa, Pt)
+    assert ls.penalty_residual(state) <= ls.PENALTY_RESID_TOL
 
 
 def test_hermitian_deviation_zero_for_hermitian():

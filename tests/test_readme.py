@@ -1,0 +1,13 @@
+"""README's Library example runs as written against the public API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs(capsys):
+    library = README.read_text().split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+    assert len(capsys.readouterr().out.splitlines()) == 2

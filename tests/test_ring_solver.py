@@ -3,7 +3,8 @@ import pytest
 
 from cellfree_dab import fp_core
 from cellfree_dab.common import SolverOptions
-from cellfree_dab.central_solver import SolveMode, run_central
+from cellfree_dab.local_solver import PENALTY_RESID_TOL
+from cellfree_dab.central_solver import run_central
 from cellfree_dab.pa_model import PaModel
 from cellfree_dab.ring_solver import RING_TRACE_COLUMNS, run_ring
 from cellfree_dab.scenario import desk_profile, make_scenario
@@ -46,7 +47,7 @@ def test_single_bs_matches_central():
     _, ch = make_scenario(cfg)
     opts = SolverOptions(max_outer=15, tol=0.0)
     ring = run_ring(ch, cfg, pa, opts)
-    central = run_central(ch, cfg, opts, SolveMode.dab(pa))
+    central = run_central(ch, cfg, pa, opts)
     # with one BS both run the same loop: same order, FP refresh every visit
     assert np.array_equal(ring.W, central.W)
     assert ring.sum_rate == central.sum_rate
@@ -61,7 +62,7 @@ def test_ideal_pa_tracks_central_across_seeds():
         _, ch = make_scenario(cfg)
         ring_rates.append(run_ring(ch, cfg, pa, opts).sum_rate)
         central_rates.append(
-            run_central(ch, cfg, opts, SolveMode.ideal()).sum_rate
+            run_central(ch, cfg, PaModel.ideal(), opts).sum_rate
         )
     assert np.mean(ring_rates) == pytest.approx(np.mean(central_rates), rel=0.02)
 
@@ -89,7 +90,7 @@ def test_converged_runs_carry_tight_lifts():
         if rep.converged:
             seen += 1
             assert max(rep.diagnostics["penalty_residuals"]) \
-                <= opts.penalty_resid_tol
+                <= PENALTY_RESID_TOL
     assert seen >= 1
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from cellfree_dab import fp_core
 from cellfree_dab.common import SolverOptions
-from cellfree_dab.central_solver import SolveMode, run_central
+from cellfree_dab.central_solver import run_central
 from cellfree_dab.fp_core import FpState
 from cellfree_dab.local_solver import unvec, vec
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag
@@ -155,7 +155,7 @@ def test_single_bs_matches_central():
     _, ch = make_scenario(cfg)
     opts = SolverOptions(max_outer=25, tol=0.0)
     star = run_star(ch, cfg, pa, opts)
-    central = run_central(ch, cfg, opts, SolveMode.dab(pa))
+    central = run_central(ch, cfg, pa, opts)
     assert star.sum_rate == pytest.approx(central.sum_rate, rel=1e-4)
 
 
@@ -185,7 +185,7 @@ def test_ideal_pa_with_stiff_consensus_tracks_central():
             ch, cfg, pa, SolverOptions(max_outer=30, tol=1e-4, varrho=100.0)
         ).sum_rate)
         central_rates.append(run_central(
-            ch, cfg, SolverOptions(max_outer=30, tol=1e-4), SolveMode.ideal()
+            ch, cfg, PaModel.ideal(), SolverOptions(max_outer=30, tol=1e-4)
         ).sum_rate)
     assert np.mean(star_rates) >= 0.95 * np.mean(central_rates)
     assert np.mean(star_rates) <= 1.05 * np.mean(central_rates)

@@ -13,7 +13,6 @@ import pytest
 from cellfree_dab import central_solver, fp_core, local_solver as ls
 from cellfree_dab import ring_solver, star_solver
 from cellfree_dab import validate as ref
-from cellfree_dab.central_solver import SolveMode
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.fp_core import FpState
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag
@@ -43,11 +42,9 @@ def assert_is_contribution(contribution, ws, state, pa):
 
 
 @pytest.mark.parametrize("star", [False, True])
-@pytest.mark.parametrize("inner_sweeps", [1, 3])
-def test_sweep_returns_contribution_of_final_beamformer(star, inner_sweeps):
-    rng = np.random.default_rng(70 + inner_sweeps + 10 * star)
+def test_sweep_returns_contribution_of_final_beamformer(star):
+    rng = np.random.default_rng(71 + 10 * star)
     pa = PaModel.reference()
-    opts = SolverOptions(inner_sweeps=inner_sweeps)
     accepted = 0
     for i in range(12):
         Nt, K = (int(n) for n in rng.integers(1, 5, size=2))
@@ -56,7 +53,7 @@ def test_sweep_returns_contribution_of_final_beamformer(star, inner_sweeps):
         for _ in range(4):
             w_before = state.w
             given = contribution if i % 2 else None
-            contribution = ls.sweep(state, ws, pa, 1.0, opts, ctx, given)
+            contribution = ls.sweep(state, ws, pa, 1.0, ctx, given)
             assert_is_contribution(contribution, ws, state, pa)
             accepted += state.w is not w_before
     assert accepted > 0
@@ -68,19 +65,18 @@ def test_sweep_hands_back_its_input_after_rollback_at_rho_cap(star, monkeypatch)
     # rho climbs to the cap, and the entry contribution is handed back
     rng = np.random.default_rng(80 + star)
     pa = PaModel.reference()
-    opts = SolverOptions(inner_sweeps=2)
     ws, ctx, state = random_case(rng, 3, 2, star)
     calls = iter(range(10 ** 6))
     monkeypatch.setattr(ls, "true_local_objective",
                         lambda contribution, ws, star=None: float(next(calls)))
     contribution = fp_core.bs_contribution(ws.H, state.W, pa)
     w_entry = state.w
-    out = ls.sweep(state, ws, pa, 1.0, opts, ctx, contribution)
+    out = ls.sweep(state, ws, pa, 1.0, ctx, contribution)
     assert out is contribution
     assert state.w is w_entry
-    assert state.rho == opts.rho_cap
-    # six bumps take rho from 1 to the cap, then one rejection per round
-    assert state.rejected_sweeps == 8
+    assert state.rho == ls.RHO_CAP
+    # six bumps take rho from 1 to the cap, then one rejection at the cap
+    assert state.rejected_sweeps == 7
     assert_is_contribution(out, ws, state, pa)
 
 
@@ -112,13 +108,12 @@ def test_contribution_objective_matches_beamformer_reference():
 def test_memoized_lift_reads_match_a_fresh_lift():
     rng = np.random.default_rng(91)
     pa = PaModel.reference()
-    opts = SolverOptions()
     for i in range(20):
         Nt, K = (int(n) for n in rng.integers(1, 6, size=2))
         ws, ctx, state = random_case(rng, Nt, K, star=i % 2 == 1,
                                      zeta_scale=0.5 + i / 4)
         for _ in range(6):
-            ls.sweep(state, ws, pa, 1.0, opts, ctx)
+            ls.sweep(state, ws, pa, 1.0, ctx)
             R = state.R
             fresh = ls.Lift(u=R.u, E=R.E, d=R.d)
             F = R.block_sum()
@@ -131,14 +126,13 @@ def test_memoized_lift_reads_match_a_fresh_lift():
             assert ls.penalty_residual(state) == ls.penalty_residual(twin)
             assert (ls.local_penalized_objective(state, ws, pa, ctx)
                     == ls.local_penalized_objective(twin, ws, pa, ctx))
-            assert state.trace[-1][1] == ls.penalty_residual(twin)
+            assert state.prev_residual == ls.penalty_residual(twin)
 
 
 SOLVES = {
-    "ring": lambda ch, cfg, pa, opts: ring_solver.run_ring(ch, cfg, pa, opts),
-    "central": lambda ch, cfg, pa, opts: central_solver.run_central(
-        ch, cfg, opts, SolveMode.dab(pa)),
-    "star": lambda ch, cfg, pa, opts: star_solver.run_star(ch, cfg, pa, opts),
+    "ring": ring_solver.run_ring,
+    "central": central_solver.run_central,
+    "star": star_solver.run_star,
 }
 
 
@@ -186,18 +180,54 @@ def test_one_distortion_covariance_per_visit(solver, monkeypatch):
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVES))
-def test_traces_off_skip_the_surrogate_objective(solver, monkeypatch):
+def test_report_counts_rejected_sweeps(solver, monkeypatch):
+    """Each w-step starts one attempted move and a visit accepts at most one,
+    so ``rejected_sweeps`` is the ``update_w`` calls less the visits that
+    moved their BS. A visit still rejected at the penalty cap moves nothing:
+    it adds a rejection but no retry."""
+    counts = {"update_w": 0, "moved": 0}
+    update_w, sweep = ls.update_w, ls.sweep
+
+    def counted_update_w(*args, **kwargs):
+        counts["update_w"] += 1
+        return update_w(*args, **kwargs)
+
+    def counted_sweep(state, *args, **kwargs):
+        w_entry = state.w
+        out = sweep(state, *args, **kwargs)
+        counts["moved"] += state.w is not w_entry
+        return out
+
+    monkeypatch.setattr(ls, "update_w", counted_update_w)
+    monkeypatch.setattr(ls, "sweep", counted_sweep)
+    pa = PaModel.reference()
+    cfg = desk_profile(rng_seed=1)
+    _, ch = make_scenario(cfg)
+    rep = SOLVES[solver](ch, cfg, pa, SolverOptions(max_outer=6, tol=0.0))
+    rejected = rep.diagnostics["rejected_sweeps"]
+    assert rejected == counts["update_w"] - counts["moved"]
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVES))
+def test_surrogate_objective_once_per_traced_visit(solver, monkeypatch):
+    """Ring and central evaluate the surrogate once per visit, for the trace
+    row that reports it; star's trace has no such column, so it never does."""
+    calls = []
+    objective = ls.local_penalized_objective
+
+    def counted(*args, **kwargs):
+        calls.append(objective(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(ls, "local_penalized_objective", counted)
     pa = PaModel.reference()
     cfg = desk_profile(rng_seed=2)
     _, ch = make_scenario(cfg)
-    on = SOLVES[solver](ch, cfg, pa, SolverOptions(max_outer=4))
-
-    def fail(*args, **kwargs):
-        raise AssertionError("surrogate objective evaluated with traces off")
-
-    monkeypatch.setattr(ls, "local_penalized_objective", fail)
-    off = SOLVES[solver](ch, cfg, pa,
-                         SolverOptions(max_outer=4, collect_traces=False))
-    assert off.trace == []
-    assert np.array_equal(off.W, on.W)
-    assert off.sum_rate == on.sum_rate
+    rep = SOLVES[solver](ch, cfg, pa, SolverOptions(max_outer=4))
+    if solver == "star":
+        assert calls == []
+    else:
+        col = rep.trace_columns.index("surrogate_objective")
+        assert len(calls) == rep.counters["visits"] == len(rep.trace)
+        assert [row[col] for row in rep.trace] == calls

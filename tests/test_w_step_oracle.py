@@ -9,7 +9,6 @@ reference any faster multiplier search has to match.
 import numpy as np
 
 from cellfree_dab import local_solver as ls
-from cellfree_dab.common import SolverOptions
 from cellfree_dab.fp_core import FpState
 from cellfree_dab.pa_model import PaModel
 
@@ -74,7 +73,7 @@ def random_instance(rng, star: bool):
     fp = FpState(mu=rng.uniform(0.1, 2.0, K),
                  zeta=rand_c(rng, K, scale=10.0 ** rng.uniform(-1.0, 1.0)))
     ws = ls.build_workspace(H, fp, Nt, K, rand_c(rng, K, K, scale=0.5))
-    rho = 10.0 ** rng.uniform(-3.0, np.log10(SolverOptions().rho_cap))
+    rho = 10.0 ** rng.uniform(-3.0, np.log10(ls.RHO_CAP))
     state = ls.state_from_beamformer(
         rand_c(rng, Nt, K, scale=10.0 ** rng.uniform(-2.0, 1.0)), rho=rho
     )

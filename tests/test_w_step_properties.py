@@ -22,7 +22,7 @@ def rand_c(rng, *shape, scale=1.0):
     K=st.integers(1, 4),
     pt_dbm=st.floats(-20.0, 80.0),
     beta3=st.sampled_from([0.0, REF_BETA3, 4.0 * REF_BETA3]),
-    log_rho=st.floats(-3.0, np.log10(OPTS.rho_cap)),
+    log_rho=st.floats(-3.0, np.log10(ls.RHO_CAP)),
     star=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
