@@ -65,9 +65,6 @@ class Network:
             counters=counters,
             diagnostics={
                 **diagnostics,
-                "hermitian_deviation_max": max(
-                    local_solver.hermitian_deviation(s.R) for s in states
-                ),
                 "penalty_residuals": [local_solver.penalty_residual(s)
                                       for s in states],
                 "ridge_fallbacks": sum(s.ridge_fallbacks for s in states),
@@ -151,6 +148,5 @@ def run_blocks(net: Network, opts: SolverOptions, order, fp_period: int,
     return net.report(
         fp, t // B, done, trace, trace_columns,
         counters={"visits": t},
-        diagnostics={"global_state": {"Q": Q, "p": p},
-                     "consistency_error_max": consistency},
+        diagnostics={"consistency_error_max": consistency},
     )

@@ -35,9 +35,13 @@ def _parse_values(text: str):
     """"a:step:b" (inclusive) or comma-separated numbers."""
     if ":" in text:
         start, step, stop = (float(x) for x in text.split(":"))
+        if not np.all(np.isfinite((start, step, stop))):
+            raise ValueError(f"range bounds must be finite: {text!r}")
         if step <= 0:
             raise ValueError("step must be positive")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
+        if n < 1:
+            raise ValueError(f"empty value range {text!r}")
         return tuple(start + step * i for i in range(n))
     return tuple(float(x) for x in text.split(","))
 

@@ -6,8 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fp_core
 from .fp_core import FpState
 from .pa_model import PaModel
+
+# depth of the start point's power-backoff scan, in halvings of the budget
+NUM_HALVINGS = 12
 
 
 @dataclass
@@ -68,20 +72,18 @@ class SolveMode:
         return makers[tag](true_pa)
 
 
-def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2,
-                        num_halvings: int = 12) -> np.ndarray:
+def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray:
     """Best starting point among matched-filter and zero-forcing shapes.
 
     Candidate directions (per BS, columns scaled to spend the budget
-    equally) are combined with a global power-backoff scan in halvings of
-    the budget; the pair scoring the best true sum rate under the design
-    amplifier wins. Both scans matter: correlated line-of-sight columns
-    leave the matched filter in an interference-limited basin the block
-    iteration cannot escape, and distortion-dominated regimes put the
-    full-budget start in the wrong power basin.
+    equally) are combined with a global power-backoff scan from the full
+    budget down to 2^-``NUM_HALVINGS`` of it in steps of sqrt(2); the pair
+    scoring the best true sum rate under the design amplifier wins. Both
+    scans matter: correlated line-of-sight columns leave the matched filter
+    in an interference-limited basin the block iteration cannot escape, and
+    distortion-dominated regimes put the full-budget start in the wrong
+    power basin.
     """
-    from . import fp_core
-
     H = np.asarray(H)
     B, Nt, K = H.shape
     mf = np.empty_like(H)
@@ -96,7 +98,7 @@ def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2,
     best_W, best_rate = None, -np.inf
     for cand in (mf, zf):
         W_full = np.sqrt(Pt / K) * cand
-        for half_exponent in range(2 * num_halvings + 1):
+        for half_exponent in range(2 * NUM_HALVINGS + 1):
             c = 0.5 ** (0.5 * half_exponent)
             W = np.sqrt(c) * W_full
             rate = fp_core.sum_rate(
@@ -128,7 +130,7 @@ class SolutionReport:
     fp: FpState
     iterations: int              # outer iterations (ring: full passes)
     converged: bool
-    trace: list = field(default_factory=list)   # per-step dict rows
+    trace: list = field(default_factory=list)   # one tuple per step
     trace_columns: tuple = ()
     counters: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)

@@ -1,11 +1,12 @@
-"""Fractional-programming auxiliaries and the transformed sum-rate objectives.
+"""FP auxiliaries, SINDR and sum rate, and the single-BS transformed objective.
 
 The aggregate pair (Qsum, psum) is the interface between the beamformers and
 everything else: Qsum[k, j] collects the signal (j == k) and interference
 (j != k) reaching UE k from all BSs, psum[k] the total received distortion
 power. Rates are in bit/s/Hz (log base 2). Denominators are floored at
 ``DENOM_FLOOR`` as a guard for degenerate test inputs; valid configurations
-never hit the floor because noise powers are positive.
+never hit the floor because noise powers are positive. The full transformed
+objective, which the solvers never evaluate, is a reference in ``validate``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class FpState:
         self.zeta = np.asarray(self.zeta, dtype=complex)
         if np.any(self.mu < 0) or not np.all(np.isfinite(self.mu)):
             raise ValueError("mu must be finite and nonnegative")
-
-    @classmethod
-    def zeros(cls, K: int) -> "FpState":
-        return cls(mu=np.zeros(K), zeta=np.zeros(K, dtype=complex))
 
 
 @dataclass
@@ -124,21 +121,6 @@ def update_zeta(inputs: MetricsInputs, mu: np.ndarray) -> np.ndarray:
 def update_fp(inputs: MetricsInputs) -> FpState:
     mu = update_mu(inputs)
     return FpState(mu=mu, zeta=update_zeta(inputs, mu))
-
-
-def transformed_objective(inputs: MetricsInputs, fp: FpState) -> float:
-    """Value of the transformed sum-rate objective at (Qsum, psum, mu, zeta).
-
-    At the optimal auxiliaries this equals sum_k log2(1 + sindr_k).
-    """
-    mu, zeta = fp.mu, fp.zeta
-    const = np.sum(np.log2(1.0 + mu) - mu - np.abs(zeta) ** 2 * inputs.sigma2)
-    diag = np.diag(inputs.Qsum)
-    delta = np.sum(
-        2.0 * np.sqrt(1.0 + mu) * np.real(np.conj(zeta) * diag)
-        - np.abs(zeta) ** 2 * (np.sum(np.abs(inputs.Qsum) ** 2, axis=1) + inputs.psum)
-    )
-    return float(const + delta)
 
 
 def local_objective(Q_hat, A, p, mu, zeta) -> float:

@@ -305,15 +305,6 @@ def w_subproblem_terms(state: LocalSolverState, ws: Workspace, pa: PaModel,
     return A, C_blocks
 
 
-def w_subproblem_objective(w: np.ndarray, A: np.ndarray, C_blocks: np.ndarray,
-                           rho: float, Nt: int, K: int) -> float:
-    Wm = unvec(w, Nt, K)
-    quad = np.real(np.einsum("nj,nm,mj->", Wm.conj(), A, Wm))
-    lin = 2.0 * np.real(np.sum(C_blocks.conj() * Wm))
-    quart = rho * float(np.sum(np.abs(w) ** 2)) ** 2
-    return float(quad + lin + quart)
-
-
 _SECULAR_MAX_ITERS = 100
 _SECULAR_RTOL = 1e-15
 

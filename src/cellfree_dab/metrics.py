@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,31 +101,6 @@ def overhead_star(B: int, K: int, n_iter: int):
     download = n_iter * B * (2 * K * K + 2 * K)
     upload = n_iter * B * (2 * K * K + K)
     return download, upload, download + upload
-
-
-def complexity_estimate(Nt: int, K: int, B: int, n_iter: int,
-                        topology: str) -> float:
-    """Leading-order flop counts of the distributed algorithms."""
-    per_bs = (Nt ** 4 * K ** 4 + 2 * math.sqrt(2) * Nt ** 3 * K ** 3
-              + math.sqrt(2) * Nt * K)
-    if topology == "ring":
-        return n_iter * per_bs
-    if topology == "star":
-        return n_iter * (B * per_bs + K ** 6)
-    raise ValueError(f"unknown topology {topology!r}")
-
-
-def export_metrics_csv(report: MetricsReport, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ue", "sindr", "rate_bit_s_hz", "distortion_power_w"])
-        for k in range(report.sindr.size):
-            writer.writerow([
-                k,
-                repr(float(report.sindr[k])),
-                repr(float(np.log2(1.0 + report.sindr[k]))),
-                repr(float(report.distortion_power[k])),
-            ])
 
 
 def export_pattern_csv(patterns: dict, path):

@@ -38,16 +38,8 @@ def amplify(x: np.ndarray, pa: PaModel) -> np.ndarray:
     return pa.beta1 * x + pa.beta3 * x * np.abs(x) ** 2
 
 
-def bussgang_gain(W: np.ndarray, pa: PaModel) -> np.ndarray:
-    """Linear-gain matrix beta1*I + 2*beta3*diag(W W^H) for Gaussian symbols."""
-    W = np.asarray(W)
-    Nt = W.shape[0]
-    q = np.sum(np.abs(W) ** 2, axis=1)  # diagonal of W W^H
-    return pa.beta1 * np.eye(Nt) + 2.0 * pa.beta3 * np.diag(q)
-
-
 def bussgang_gain_diag(W: np.ndarray, pa: PaModel) -> np.ndarray:
-    """Diagonal of the Bussgang gain as a vector (cheaper than the matrix)."""
+    """The Bussgang gain beta1*I + 2*beta3*diag(W W^H), as its diagonal."""
     q = np.sum(np.abs(np.asarray(W)) ** 2, axis=1)
     return pa.beta1 + 2.0 * pa.beta3 * q
 

@@ -8,13 +8,18 @@ as each runner owns its own generator.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 SPEED_OF_LIGHT = 2.998e8  # m/s, fixed project-wide
+
+
+def _positive(x) -> bool:
+    """Every entry of ``x`` is finite and > 0."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(np.isfinite(x) & (x > 0)))
 
 
 @dataclass
@@ -43,20 +48,25 @@ class SystemConfig:
     bs_positions: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        if self.antenna_spacing is None:
-            self.antenna_spacing = SPEED_OF_LIGHT / self.carrier_freq / 2.0
         self.sigma2 = np.broadcast_to(
             np.asarray(self.sigma2, dtype=float), (self.num_ues,)
         ).copy()
         self.validate()
+        if self.antenna_spacing is None:
+            self.antenna_spacing = SPEED_OF_LIGHT / self.carrier_freq / 2.0
 
     def validate(self):
+        """Raise ``ValueError`` on numbers no solve can use, NaN and inf too."""
         if min(self.num_bs, self.num_antennas, self.num_ues, self.num_paths) < 1:
             raise ValueError("num_bs, num_antennas, num_ues, num_paths must be >= 1")
-        if self.power_budget <= 0:
-            raise ValueError("power_budget must be positive")
-        if np.any(self.sigma2 <= 0):
-            raise ValueError("noise powers must be positive")
+        if not _positive(self.power_budget):
+            raise ValueError("power_budget must be finite and positive")
+        if not _positive(self.sigma2):
+            raise ValueError("noise powers must be finite and positive")
+        if not _positive(self.carrier_freq):
+            raise ValueError("carrier_freq must be finite and positive")
+        if self.antenna_spacing is not None and not _positive(self.antenna_spacing):
+            raise ValueError("antenna_spacing must be finite and positive")
         if self.ref_distance <= 0:
             raise ValueError("ref_distance must be positive")
         lo, hi = self.nlos_exponent_range
@@ -228,16 +238,3 @@ def make_scenario(config: SystemConfig, seed=None):
     geom = place_network(config, rng)
     channels = generate_channel(geom, config, rng)
     return geom, channels
-
-
-def export_channels_csv(channels: ChannelSet, path):
-    """One row per (bs, antenna, ue) with real/imaginary channel parts."""
-    B, Nt, K = channels.H.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bs", "antenna", "ue", "re", "im"])
-        for b in range(B):
-            for n in range(Nt):
-                for k in range(K):
-                    h = channels.H[b, n, k]
-                    writer.writerow([b, n, k, repr(float(h.real)), repr(float(h.imag))])

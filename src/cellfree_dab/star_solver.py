@@ -153,9 +153,6 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
             "iterations": it,
         },
         diagnostics={
-            "state": {"Q_L": Q_L, "p_L": p_L, "Q_C": Q_C,
-                      "Q_tilde": interference_share(Q_C), "lam": lam,
-                      "varrho": varrho},
             "consensus_residual": residual_trace[-1],
             "consensus_residual_trace": residual_trace,
             "rejected_iterations": rejected_iterations,

@@ -11,7 +11,10 @@ Nt K: the stationarity system alone has (Nt K)^4 entries.
 
 The objectives the solvers evaluate from contributions also have their
 direct forms here: the single-BS objective from the beamformer, and the
-star center's aggregation objective with its gradient.
+star center's aggregation objective with its gradient. So do the forms no
+solver evaluates at all: the dense Bussgang gain matrix (the solvers read
+its diagonal, ``pa_model.bussgang_gain_diag``), the full transformed
+sum-rate objective, and the w-step objective.
 
 The checks are a trimmed version of the oracle checks from the test suite,
 sized to run in well under a minute; ``run_validation`` prints one
@@ -26,8 +29,7 @@ from . import fp_core, local_solver, metrics
 from .common import SolverOptions
 from .fp_core import FpState, MetricsInputs
 from .local_solver import Lift, StarContext, Workspace, unvec, vec
-from .pa_model import (PaModel, amplify, bussgang_gain, bussgang_gain_diag,
-                       distortion_cov)
+from .pa_model import PaModel, amplify, bussgang_gain_diag, distortion_cov
 from .ring_solver import run_ring
 from .scenario import desk_profile, make_scenario
 
@@ -35,6 +37,14 @@ from .scenario import desk_profile, make_scenario
 # ---------------------------------------------------------------------------
 # dense reference
 # ---------------------------------------------------------------------------
+
+def bussgang_gain(W: np.ndarray, pa: PaModel) -> np.ndarray:
+    """Linear-gain matrix beta1*I + 2*beta3*diag(W W^H) for Gaussian symbols."""
+    W = np.asarray(W)
+    Nt = W.shape[0]
+    q = np.sum(np.abs(W) ** 2, axis=1)  # diagonal of W W^H
+    return pa.beta1 * np.eye(Nt) + 2.0 * pa.beta3 * np.diag(q)
+
 
 def expand(R: Lift) -> np.ndarray:
     """The (Nt K) x (Nt K) matrix a ``Lift`` stands for."""
@@ -167,6 +177,34 @@ def r_subproblem_objective(w: np.ndarray, R: np.ndarray, ws: Workspace,
 # reference objectives
 # ---------------------------------------------------------------------------
 
+def transformed_objective(inputs: MetricsInputs, fp: FpState) -> float:
+    """Value of the transformed sum-rate objective at (Qsum, psum, mu, zeta).
+
+    At the optimal auxiliaries this equals sum_k log2(1 + sindr_k).
+    """
+    mu, zeta = fp.mu, fp.zeta
+    const = np.sum(np.log2(1.0 + mu) - mu - np.abs(zeta) ** 2 * inputs.sigma2)
+    diag = np.diag(inputs.Qsum)
+    delta = np.sum(
+        2.0 * np.sqrt(1.0 + mu) * np.real(np.conj(zeta) * diag)
+        - np.abs(zeta) ** 2 * (np.sum(np.abs(inputs.Qsum) ** 2, axis=1) + inputs.psum)
+    )
+    return float(const + delta)
+
+
+def w_subproblem_objective(w: np.ndarray, A: np.ndarray, C_blocks: np.ndarray,
+                           rho: float, Nt: int, K: int) -> float:
+    """w^H (I_K kron A) w + 2 Re{c^H w} + rho ||w||^4, the w-step objective.
+
+    ``(A, C_blocks)`` is what ``local_solver.w_subproblem_terms`` returns.
+    """
+    Wm = unvec(w, Nt, K)
+    quad = np.real(np.einsum("nj,nm,mj->", Wm.conj(), A, Wm))
+    lin = 2.0 * np.real(np.sum(C_blocks.conj() * Wm))
+    quart = rho * float(np.sum(np.abs(w) ** 2)) ** 2
+    return float(quad + lin + quart)
+
+
 def local_objective_ring(Q_hat, H_b, W_b, pa: PaModel, fp: FpState) -> float:
     """``fp_core.local_objective`` computed from the beamformer W_b.
 
@@ -249,7 +287,7 @@ def check_fp_equivalence(seed: int) -> bool:
         sig = rng.uniform(0.1, 1.0, K)
         inputs = MetricsInputs(Qsum=Q, psum=p, sigma2=sig)
         fp = fp_core.update_fp(inputs)
-        lhs = fp_core.transformed_objective(inputs, fp)
+        lhs = transformed_objective(inputs, fp)
         rhs = fp_core.sum_rate(inputs)
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
             return False
@@ -309,11 +347,11 @@ def check_w_step(seed: int) -> bool:
         w_new = local_solver.update_w(state, ws, pa, Pt)
         if np.linalg.norm(w_new) ** 2 > Pt * (1 + 1e-9):
             return False
-        obj = local_solver.w_subproblem_objective(w_new, A, C, 1.3, Nt, K)
+        obj = w_subproblem_objective(w_new, A, C, 1.3, Nt, K)
         for _ in range(20):
             z = _rand_c(rng, N, scale=1.0)
             z *= np.sqrt(Pt * rng.uniform(0, 1)) / np.linalg.norm(z)
-            if local_solver.w_subproblem_objective(z, A, C, 1.3, Nt, K) < obj - 1e-9:
+            if w_subproblem_objective(z, A, C, 1.3, Nt, K) < obj - 1e-9:
                 return False
     return True
 

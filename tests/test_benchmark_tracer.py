@@ -59,15 +59,13 @@ def test_traced_solves_record_setup_and_sweeps():
     # the R-step and the diagnostics feed the per-layer R-step metrics; a
     # call that bypasses the module global would read 0 there
     for name in ("local_solver.sweep", "local_solver.update_R",
-                 "local_solver.penalty_residual",
-                 "local_solver.hermitian_deviation"):
+                 "local_solver.penalty_residual"):
         per_solve = Counter(s.solve for s in spans if s.name == name)
         for solve in solves:
             assert per_solve[solve] >= 1, (name, solve)
 
     # one contribution per BS for the initial cache, then one per visit
-    # plus one per rejected attempt; the Hermitian deviation once per BS,
-    # on the final lift
+    # plus one per rejected attempt; no report reads the Hermitian deviation
     B = cfg.num_bs
     per_solve = {name: Counter(s.solve for s in spans if s.name == name)
                  for name in ("local_solver.sweep", "local_solver.update_w",
@@ -84,7 +82,7 @@ def test_traced_solves_record_setup_and_sweeps():
         visits = per_solve["local_solver.sweep"][solve]
         rejected = per_solve["local_solver.update_w"][solve] - visits
         assert contributions[solve] == B + visits + rejected, solve
-        assert per_solve["local_solver.hermitian_deviation"][solve] == B
+        assert per_solve["local_solver.hermitian_deviation"][solve] == 0
         # the surrogate objective once per visit, for the ring or central
         # trace row that reports it; star's trace has no such column
         star = solver_of[solve] == "star_solver.run_star"

@@ -9,13 +9,17 @@ from cellfree_dab.fp_core import (
     build_metrics_inputs,
     sindr,
     sum_rate,
-    transformed_objective,
     update_fp,
     update_mu,
     update_zeta,
 )
-from cellfree_dab.pa_model import PaModel, bussgang_gain, distortion_cov
-from cellfree_dab.validate import central_objective_star, local_objective_ring
+from cellfree_dab.pa_model import PaModel, distortion_cov
+from cellfree_dab.validate import (
+    bussgang_gain,
+    central_objective_star,
+    local_objective_ring,
+    transformed_objective,
+)
 
 
 def rand_c(rng, *shape, scale=1.0):
@@ -102,7 +106,8 @@ def test_fp_equivalence_on_random_instances():
 def test_transformed_objective_zero_state():
     inp = MetricsInputs(Qsum=np.zeros((3, 3)), psum=np.zeros(3),
                         sigma2=np.ones(3))
-    assert transformed_objective(inp, FpState.zeros(3)) == 0.0
+    assert transformed_objective(
+        inp, FpState(mu=np.zeros(3), zeta=np.zeros(3, dtype=complex))) == 0.0
 
 
 def test_zeta_step_never_decreases_objective():

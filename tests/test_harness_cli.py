@@ -30,6 +30,10 @@ def test_parse_values():
     assert _parse_values("20:2:44") == tuple(float(v) for v in range(20, 45, 2))
     assert len(_parse_values("20:2:44")) == 13
     assert _parse_values("1,2.5,7") == (1.0, 2.5, 7.0)
+    with pytest.raises(ValueError, match="empty"):
+        _parse_values("44:4:8")
+    with pytest.raises(ValueError, match="finite"):
+        _parse_values("0:1:inf")
 
 
 def test_config_for_value():

@@ -4,7 +4,8 @@ import pytest
 from cellfree_dab import local_solver as ls
 from cellfree_dab import validate as ref
 from cellfree_dab.fp_core import FpState
-from cellfree_dab.pa_model import PaModel, bussgang_gain, distortion_cov
+from cellfree_dab.pa_model import PaModel, distortion_cov
+from cellfree_dab.validate import bussgang_gain
 
 
 def rand_c(rng, *shape, scale=1.0):
@@ -208,8 +209,8 @@ class TestWStep:
         xs = pg_oracle([A for _, A, _, _ in cases], [C for _, _, C, _ in cases],
                        [rho for _, _, _, rho in cases], Nt, K, Pt)
         for (w, A, C, rho), x in zip(cases, xs):
-            obj = ls.w_subproblem_objective(w, A, C, rho, Nt, K)
-            obj_pg = ls.w_subproblem_objective(x, A, C, rho, Nt, K)
+            obj = ref.w_subproblem_objective(w, A, C, rho, Nt, K)
+            obj_pg = ref.w_subproblem_objective(x, A, C, rho, Nt, K)
             assert obj <= obj_pg + 1e-6 * max(1.0, abs(obj_pg))
 
     def test_interior_solution_stationarity(self):
@@ -240,7 +241,7 @@ class TestWStep:
     def test_zero_data_returns_zero(self):
         Nt, K = 2, 2
         H = np.zeros((Nt, K), dtype=complex)
-        fp = FpState.zeros(K)
+        fp = FpState(mu=np.zeros(K), zeta=np.zeros(K, dtype=complex))
         ws = ls.build_workspace(H, fp, Nt, K)
         state = ls.state_from_beamformer(np.zeros((Nt, K), dtype=complex))
         w = ls.update_w(state, ws, PaModel.ideal(), 1.0)

@@ -5,7 +5,6 @@ from cellfree_dab import fp_core, metrics
 from cellfree_dab.metrics import (
     BeamPattern,
     beam_pattern,
-    complexity_estimate,
     default_angle_grid,
     evaluate,
     overhead_ring,
@@ -148,34 +147,12 @@ def test_overhead_formulas():
         overhead_star(1, 1, -1)
 
 
-def test_complexity_estimate():
-    ring1 = complexity_estimate(16, 6, 4, 1, "ring")
-    dominant = 16 ** 4 * 6 ** 4
-    assert dominant == 84_934_656
-    assert ring1 > dominant
-    assert ring1 == pytest.approx(
-        dominant + 2 * np.sqrt(2) * 16 ** 3 * 6 ** 3 + np.sqrt(2) * 96
-    )
-    star1 = complexity_estimate(16, 6, 4, 1, "star")
-    assert star1 == pytest.approx(4 * ring1 + 6 ** 6)
-    assert complexity_estimate(16, 6, 4, 7, "ring") == pytest.approx(7 * ring1)
-    with pytest.raises(ValueError):
-        complexity_estimate(4, 2, 2, 1, "mesh")
-
-
 def test_csv_exports(tmp_path):
     rng = np.random.default_rng(6)
     pa = PaModel.reference()
     cfg = desk_profile(rng_seed=7)
     _, ch = make_scenario(cfg)
     W = rand_c(rng, *ch.H.shape, scale=1e-5)
-    rep = evaluate(ch, W, pa, cfg.sigma2)
-    mpath = tmp_path / "metrics.csv"
-    metrics.export_metrics_csv(rep, mpath)
-    lines = mpath.read_text().strip().splitlines()
-    assert lines[0] == "ue,sindr,rate_bit_s_hz,distortion_power_w"
-    assert len(lines) == 1 + cfg.num_ues
-
     fc, d = cfg.carrier_freq, cfg.antenna_spacing
     pats = {b: beam_pattern(W[b], pa, default_angle_grid(11), cfg.num_antennas,
                             fc, d)

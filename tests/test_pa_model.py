@@ -4,10 +4,10 @@ import pytest
 from cellfree_dab.pa_model import (
     PaModel,
     amplify,
-    bussgang_gain,
     bussgang_gain_diag,
     distortion_cov,
 )
+from cellfree_dab.validate import bussgang_gain
 
 
 def rand_c(rng, *shape, scale=1.0):

@@ -8,7 +8,6 @@ from cellfree_dab.scenario import (
     SystemConfig,
     default_bs_layout,
     desk_profile,
-    export_channels_csv,
     generate_channel,
     make_scenario,
     path_loss,
@@ -139,6 +138,14 @@ def test_config_validation():
         SystemConfig(power_budget=-1.0)
     with pytest.raises(ValueError):
         SystemConfig(sigma2=0.0)
+    # non-finite numbers would otherwise fail deep inside a solve, and a
+    # non-positive carrier gives a negative or undefined antenna spacing
+    for bad in (dict(power_budget=np.nan), dict(power_budget=np.inf),
+                dict(sigma2=np.nan), dict(carrier_freq=-1.0),
+                dict(carrier_freq=0.0), dict(carrier_freq=np.nan),
+                dict(antenna_spacing=0.0), dict(antenna_spacing=-0.005)):
+        with pytest.raises(ValueError):
+            desk_profile(**bad)
 
 
 def test_default_antenna_spacing_is_half_wavelength():
@@ -146,16 +153,3 @@ def test_default_antenna_spacing_is_half_wavelength():
     assert cfg.antenna_spacing == pytest.approx(
         scenario.SPEED_OF_LIGHT / 28e9 / 2
     )
-
-
-def test_channel_csv_export(tmp_path):
-    cfg = desk_profile(rng_seed=1)
-    _, ch = make_scenario(cfg)
-    path = tmp_path / "channels.csv"
-    export_channels_csv(ch, path)
-    lines = path.read_text().strip().splitlines()
-    B, Nt, K = ch.H.shape
-    assert lines[0] == "bs,antenna,ue,re,im"
-    assert len(lines) == 1 + B * Nt * K
-    b, n, k, re, im = lines[1].split(",")
-    assert complex(float(re), float(im)) == ch.H[int(b), int(n), int(k)]

@@ -47,7 +47,7 @@ def test_aggregate_pure_proximal_when_zeta_zero():
     B, K = 3, 2
     Q_L = rand_c(rng, B, K, K)
     lam = rand_c(rng, B, K * K)
-    fp = FpState.zeros(K)
+    fp = FpState(mu=np.zeros(K), zeta=np.zeros(K, dtype=complex))
     varrho = 7.0
     Q_C = aggregate(Q_L, lam, fp, varrho)
     lam_m = np.stack([unvec(l, K, K) for l in lam])
