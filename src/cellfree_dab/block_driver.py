@@ -8,9 +8,12 @@ often the FP auxiliaries (mu, zeta) refresh, after every visit or after every
 pass, the two schedules of the quadratic-transform block ascent (Shen & Yu,
 IEEE TSP 2018). Each BS's contribution (Q_b, p_b) is cached; a visit
 subtracts it from the token aggregate (Q, p), sweeps, and adds the fresh one
-that the sweep hands back (the one its safeguard accepted). Summed in BS
-order the cache equals ``fp_core.build_metrics_inputs`` bit for bit, so it
-gives each visit's rate and the check of the token.
+that the sweep hands back (the one its safeguard accepted). The cache is
+two arrays with a leading BS axis, filled at set-up by one stacked
+``fp_core.bs_contribution`` and reduced by one ``fp_core.sum_contributions``
+call per visit. Summed in BS order it equals
+``fp_core.build_metrics_inputs`` bit for bit, so it gives each visit's rate
+and the check of the token.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ class Network:
 def setup(channels, config, pa: PaModel, initial_beamformers) -> Network:
     """Normalize the channel and start every BS from ``initial_beamformers``.
 
+    The initial cache is one stacked ``fp_core.bs_contribution`` over the
+    BS axis of (H, W0): its (B, K, K) and (B, K) outputs are the cached
+    ``Q_parts`` and ``p_parts``, bit for bit the per-BS contributions.
     Solvers pass their own module binding of ``common.initial_beamformers``,
     so a profiler that wraps the name in a solver module sees the call.
     """
@@ -85,10 +91,10 @@ def setup(channels, config, pa: PaModel, initial_beamformers) -> Network:
     Pt = config.power_budget
     W0 = initial_beamformers(H, Pt, pa, sigma2)
     states = [local_solver.state_from_beamformer(W0_b) for W0_b in W0]
-    parts = [fp_core.bs_contribution(H_b, s.W, pa) for H_b, s in zip(H, states)]
+    Q_parts, p_parts = fp_core.bs_contribution(H, W0, pa)
     return Network(H=H, sigma2=sigma2, scale=scale, Pt=Pt, pa=pa,
-                   states=states, Q_parts=np.stack([Q for Q, _ in parts]),
-                   p_parts=np.stack([p for _, p in parts]))
+                   states=states, Q_parts=Q_parts,
+                   p_parts=np.ascontiguousarray(p_parts))
 
 
 def converged(rate: float, rate_prev: float, states, opts: SolverOptions) -> bool:

@@ -46,6 +46,15 @@ def _parse_values(text: str):
     return tuple(float(x) for x in text.split(","))
 
 
+def _counts(values):
+    """Station or antenna counts: whole numbers, never truncated."""
+    for v in values:
+        if not float(v).is_integer():
+            raise ValueError(f"station and antenna counts must be whole "
+                             f"numbers, got {v!r}")
+    return tuple(int(v) for v in values)
+
+
 def _load_config(args) -> SystemConfig:
     if args.config:
         with open(args.config) as fh:
@@ -138,7 +147,7 @@ def cli_main(argv=None) -> int:
         if args.command == "sweep":
             values = _parse_values(args.values)
             if args.var in ("bs", "nt"):
-                values = tuple(int(v) for v in values)
+                values = _counts(values)
             spec = ExperimentSpec(scenario=cfg, solvers=_solvers(args),
                                   modes=_modes(args), sweep_var=args.var,
                                   sweep_values=values, trials=args.trials,

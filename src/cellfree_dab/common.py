@@ -78,32 +78,37 @@ def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray:
     Candidate directions (per BS, columns scaled to spend the budget
     equally) are combined with a global power-backoff scan from the full
     budget down to 2^-``NUM_HALVINGS`` of it in steps of sqrt(2); the pair
-    scoring the best true sum rate under the design amplifier wins. Both
-    scans matter: correlated line-of-sight columns leave the matched filter
-    in an interference-limited basin the block iteration cannot escape, and
-    distortion-dominated regimes put the full-budget start in the wrong
-    power basin.
+    scoring the best true sum rate under the design amplifier wins, the
+    first one on a tie. Both scans matter: correlated line-of-sight columns
+    leave the matched filter in an interference-limited basin the block
+    iteration cannot escape, and distortion-dominated regimes put the
+    full-budget start in the wrong power basin.
+
+    Both shapes are built for all B stations at once along H's leading BS
+    axis (stacked Gram, inverse and column norms). Each candidate is one
+    stacked ``fp_core.bs_contribution`` and the backoffs of a shape are
+    scored by one stacked ``fp_core.sum_rate``; every step equals its
+    per-BS form (``validate.initial_beamformers_loop``) bit for bit.
     """
     H = np.asarray(H)
-    B, Nt, K = H.shape
-    mf = np.empty_like(H)
-    zf = np.empty_like(H)
-    for b in range(B):
-        Hb = H[b]
-        mf[b] = Hb / np.linalg.norm(Hb, axis=0, keepdims=True)
-        gram = Hb.conj().T @ Hb
-        ridge = 1e-12 * np.trace(gram).real / K
-        Z = Hb @ np.linalg.inv(gram + ridge * np.eye(K))
-        zf[b] = Z / np.linalg.norm(Z, axis=0, keepdims=True)
+    K = H.shape[-1]
+    mf = H / np.linalg.norm(H, axis=-2, keepdims=True)
+    gram = np.swapaxes(H.conj(), -1, -2) @ H
+    ridge = 1e-12 * np.trace(gram, axis1=-2, axis2=-1).real / K
+    Z = H @ np.linalg.inv(gram + ridge[:, None, None] * np.eye(K))
+    zf = Z / np.linalg.norm(Z, axis=-2, keepdims=True)
     best_W, best_rate = None, -np.inf
     for cand in (mf, zf):
         W_full = np.sqrt(Pt / K) * cand
-        for half_exponent in range(2 * NUM_HALVINGS + 1):
-            c = 0.5 ** (0.5 * half_exponent)
-            W = np.sqrt(c) * W_full
-            rate = fp_core.sum_rate(
-                fp_core.build_metrics_inputs(H, W, pa, sigma2)
-            )
+        scan = [np.sqrt(0.5 ** (0.5 * half_exponent)) * W_full
+                for half_exponent in range(2 * NUM_HALVINGS + 1)]
+        aggregates = [fp_core.sum_contributions(
+            *fp_core.bs_contribution(H, W, pa), sigma2) for W in scan]
+        rates = fp_core.sum_rate(fp_core.MetricsInputs(
+            Qsum=np.stack([a.Qsum for a in aggregates]),
+            psum=np.stack([a.psum for a in aggregates]),
+            sigma2=sigma2))
+        for W, rate in zip(scan, rates):
             if rate > best_rate:
                 best_W, best_rate = W, rate
     return best_W

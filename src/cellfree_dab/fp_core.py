@@ -5,8 +5,11 @@ everything else: Qsum[k, j] collects the signal (j == k) and interference
 (j != k) reaching UE k from all BSs, psum[k] the total received distortion
 power. Rates are in bit/s/Hz (log base 2). Denominators are floored at
 ``DENOM_FLOOR`` as a guard for degenerate test inputs; valid configurations
-never hit the floor because noise powers are positive. The full transformed
-objective, which the solvers never evaluate, is a reference in ``validate``.
+never hit the floor because noise powers are positive. Contributions and
+rates also take a leading stack axis (BSs, or candidate aggregates), so all
+B stations or a whole scan cost one numpy call per step. The full
+transformed objective, which the solvers never evaluate, is a reference in
+``validate``.
 """
 
 from __future__ import annotations
@@ -52,59 +55,76 @@ def bs_contribution(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel):
     """One BS's (Q, p) contribution: (H^H G W, diag(H^H Cd H)).
 
     Returns the K x K complex signal/interference block and the real K-vector
-    of received distortion powers. The inputs are made C-contiguous first:
-    BLAS sums in a layout-dependent order, and the solvers pass column-major
-    views where ``metrics.evaluate`` passes row-major stacks, so without it
-    the same beamformer could give different last bits.
+    of received distortion powers. ``H_b`` and ``W_b`` may also carry a
+    leading BS axis, (B, Nt, K); the result is then the (B, K, K) and (B, K)
+    stacks, bit for bit the per-BS calls, in one numpy call per step. The
+    inputs are made C-contiguous first: BLAS sums in a layout-dependent
+    order, and the solvers pass column-major views where
+    ``metrics.evaluate`` passes row-major stacks, so without it the same
+    beamformer could give different last bits.
     """
     H_b, W_b = np.ascontiguousarray(H_b), np.ascontiguousarray(W_b)
     g = bussgang_gain_diag(W_b, pa)
-    Q = H_b.conj().T @ (g[:, None] * W_b)
+    Q = np.swapaxes(H_b.conj(), -1, -2) @ (g[..., None] * W_b)
     if pa.is_ideal:
-        p = np.zeros(H_b.shape[1])
+        p = np.zeros(H_b.shape[:-2] + H_b.shape[-1:])
     else:
         Cd = distortion_cov(W_b, pa)
-        p = np.real(np.einsum("nk,nm,mk->k", H_b.conj(), Cd, H_b))
+        p = np.real(np.einsum("...nk,...nm,...mk->...k", H_b.conj(), Cd, H_b))
     return Q, p
 
 
 def sum_contributions(Q_parts, p_parts, sigma2) -> MetricsInputs:
-    """Aggregates from per-BS contributions, added one BS after another.
+    """Aggregates from the (B, K, K) and (B, K) stacks of BS contributions.
 
-    The fixed order makes the sum reproducible bit for bit: a solver's cache
-    of contributions sums to exactly what ``build_metrics_inputs`` returns
-    for the same beamformers.
+    The parts are added one BS after another from zero, which makes the sum
+    reproducible bit for bit: a solver's cache of contributions sums to
+    exactly what ``build_metrics_inputs`` returns for the same beamformers.
+    One ``add.accumulate`` over the BS axis keeps that order for every K
+    (``sum(axis=0)`` switches to pairwise summation when K = 1); adding 0.0
+    turns the -0.0 an all-(-0.0) column accumulates into the loop's +0.0.
     """
-    Qsum = np.zeros(np.shape(Q_parts[0]), dtype=complex)
-    psum = np.zeros(np.shape(p_parts[0]))
-    for Q, p in zip(Q_parts, p_parts):
-        Qsum += Q
-        psum += p
+    Qsum = np.add.accumulate(np.asarray(Q_parts, dtype=complex), axis=0)[-1] + 0.0
+    psum = np.add.accumulate(np.asarray(p_parts, dtype=float), axis=0)[-1] + 0.0
     return MetricsInputs(Qsum=Qsum, psum=psum, sigma2=np.asarray(sigma2, dtype=float))
 
 
 def build_metrics_inputs(H, W, pa: PaModel, sigma2) -> MetricsInputs:
     """From-scratch aggregates over all BSs. H, W have shape (B, Nt, K)."""
-    parts = [bs_contribution(H_b, W_b, pa) for H_b, W_b in zip(H, W)]
-    return sum_contributions([Q for Q, _ in parts], [p for _, p in parts], sigma2)
+    return sum_contributions(*bs_contribution(H, W, pa), sigma2)
+
+
+def _diagonal(Qsum: np.ndarray) -> np.ndarray:
+    """Per-UE signal entries of one aggregate (K,) or of a stack (..., K)."""
+    return np.diagonal(Qsum, axis1=-2, axis2=-1)
 
 
 def _denominators(inputs: MetricsInputs):
-    """(interference+distortion+noise, full-power denominator) per UE."""
+    """(signal power, interference+distortion+noise, full-power denominator).
+
+    Each is per UE; a stack of aggregates gives stacks.
+    """
     power = np.abs(inputs.Qsum) ** 2
-    total = power.sum(axis=1) + inputs.psum + inputs.sigma2
-    signal = np.abs(np.diag(inputs.Qsum)) ** 2
-    return np.maximum(total - signal, DENOM_FLOOR), np.maximum(total, DENOM_FLOOR)
+    total = power.sum(axis=-1) + inputs.psum + inputs.sigma2
+    signal = np.abs(_diagonal(inputs.Qsum)) ** 2
+    return (signal, np.maximum(total - signal, DENOM_FLOOR),
+            np.maximum(total, DENOM_FLOOR))
+
+
+def _zeta(inputs: MetricsInputs, mu: np.ndarray, full: np.ndarray) -> np.ndarray:
+    return np.sqrt(1.0 + np.asarray(mu)) * _diagonal(inputs.Qsum) / full
 
 
 def sindr(inputs: MetricsInputs) -> np.ndarray:
     """Per-UE signal to interference-noise-and-distortion ratio."""
-    without_signal, _ = _denominators(inputs)
-    return np.abs(np.diag(inputs.Qsum)) ** 2 / without_signal
+    signal, without_signal, _ = _denominators(inputs)
+    return signal / without_signal
 
 
-def sum_rate(inputs: MetricsInputs) -> float:
-    return float(np.sum(np.log2(1.0 + sindr(inputs))))
+def sum_rate(inputs: MetricsInputs):
+    """Sum rate of one aggregate, a float; of a (n, K, K) stack, n rates."""
+    rates = np.sum(np.log2(1.0 + sindr(inputs)), axis=-1)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def update_mu(inputs: MetricsInputs) -> np.ndarray:
@@ -114,13 +134,14 @@ def update_mu(inputs: MetricsInputs) -> np.ndarray:
 
 def update_zeta(inputs: MetricsInputs, mu: np.ndarray) -> np.ndarray:
     """Optimal quadratic-transform auxiliary for fixed mu."""
-    _, full = _denominators(inputs)
-    return np.sqrt(1.0 + np.asarray(mu)) * np.diag(inputs.Qsum) / full
+    return _zeta(inputs, mu, _denominators(inputs)[2])
 
 
 def update_fp(inputs: MetricsInputs) -> FpState:
-    mu = update_mu(inputs)
-    return FpState(mu=mu, zeta=update_zeta(inputs, mu))
+    """Both auxiliaries from one evaluation of the denominators."""
+    signal, without_signal, full = _denominators(inputs)
+    mu = signal / without_signal
+    return FpState(mu=mu, zeta=_zeta(inputs, mu, full))
 
 
 def local_objective(Q_hat, A, p, mu, zeta) -> float:

@@ -74,7 +74,9 @@ class Workspace:
 
     ``useful_weight[j]`` is sqrt(1+mu_j) * conj(zeta_j), applied blockwise to
     the useful-signal term; ``chan_gram`` is H diag(|zeta|^2) H^H; ``interf``
-    stacks e_j = sum_k |zeta_k|^2 Q_other[k, j] h_k.
+    stacks e_j = sum_k |zeta_k|^2 Q_other[k, j] h_k; ``linear_coeff`` is the
+    u with -delta_b's linear part equal to Re{u^H Gbar w}, read by every
+    R-step solve and R-step objective of the visit.
     """
 
     H: np.ndarray            # (Nt, K)
@@ -87,6 +89,7 @@ class Workspace:
     useful_weight: np.ndarray = field(init=False)  # (K,)
     chan_gram: np.ndarray = field(init=False)      # (Nt, Nt)
     interf: np.ndarray = field(init=False)         # (Nt K,)
+    linear_coeff: np.ndarray = field(init=False)   # (Nt K,)
 
     def __post_init__(self):
         self.h = vec(self.H)
@@ -95,6 +98,8 @@ class Workspace:
         self.chan_gram = (self.H * aw[None, :]) @ self.H.conj().T
         # e_j = sum_k |zeta_k|^2 Q_other[k, j] h_k
         self.interf = vec(self.H @ (aw[:, None] * self.Q_other))
+        e2h = np.repeat(np.conj(self.useful_weight), self.Nt) * self.h
+        self.linear_coeff = 2.0 * (self.interf - e2h)
 
 
 def build_workspace(H_b: np.ndarray, fp: FpState, Nt: int, K: int,
@@ -261,12 +266,6 @@ def gain_diag_from_R(R: Lift, pa: PaModel) -> np.ndarray:
 def lagged_factor(R: Lift) -> np.ndarray:
     """|F(R)|^2 with F(R) the summed diagonal blocks of R."""
     return np.abs(R.block_sum()) ** 2
-
-
-def _linear_coeff(ws: Workspace) -> np.ndarray:
-    """u with  -delta_b linear part equal to Re{u^H Gbar w}."""
-    e2h = np.repeat(np.conj(ws.useful_weight), ws.Nt) * ws.h
-    return 2.0 * (ws.interf - e2h)
 
 
 def _star_anchor_residual(star: StarContext, ws: Workspace, W: np.ndarray,
@@ -447,7 +446,7 @@ def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
     M = 4.0 * np.abs(b3) ** 2 * P
 
     c1 = 2.0 * np.conj(pa.beta1) * b3 * (P @ np.ones(Nt))
-    u = _linear_coeff(ws)
+    u = ws.linear_coeff
     c2 = b3 * (np.conj(u) * w).reshape(K, Nt).sum(axis=0)
     V3 = np.asarray(F_abs_sq) * ws.chan_gram.T
     c3 = np.abs(b3) ** 2 * np.diag(V3)
@@ -512,7 +511,7 @@ def r_objective(w: np.ndarray, g: np.ndarray, F: np.ndarray, resid_sq: float,
     Wm = unvec(w, ws.Nt, ws.K)
     GW = g[:, None] * Wm
     f1 = float(np.real(np.einsum("nj,nm,mj->", GW.conj(), ws.chan_gram, GW)))
-    u = unvec(_linear_coeff(ws), ws.Nt, ws.K)
+    u = unvec(ws.linear_coeff, ws.Nt, ws.K)
     f2 = float(np.real(np.sum(u.conj() * GW)))
     V3 = np.asarray(F_abs_sq) * ws.chan_gram.T
     f3 = float(2.0 * np.abs(pa.beta3) ** 2 * np.real(np.sum(F * V3)))

@@ -39,17 +39,24 @@ def amplify(x: np.ndarray, pa: PaModel) -> np.ndarray:
 
 
 def bussgang_gain_diag(W: np.ndarray, pa: PaModel) -> np.ndarray:
-    """The Bussgang gain beta1*I + 2*beta3*diag(W W^H), as its diagonal."""
-    q = np.sum(np.abs(np.asarray(W)) ** 2, axis=1)
+    """The Bussgang gain beta1*I + 2*beta3*diag(W W^H), as its diagonal.
+
+    ``W`` is (..., Nt, K); leading axes (one per BS) are kept.
+    """
+    q = np.sum(np.abs(np.asarray(W)) ** 2, axis=-1)
     return pa.beta1 + 2.0 * pa.beta3 * q
 
 
 def distortion_cov(W: np.ndarray, pa: PaModel) -> np.ndarray:
     """Distortion covariance 2|beta3|^2 (W W^H o |W W^H|^2).
 
-    Written with |beta3|^2 so the result is Hermitian by construction.
+    ``W`` is (..., Nt, K) and the result (..., Nt, Nt): a stack of BSs gives
+    each one's covariance, bit for bit what a call per BS gives. The
+    Hadamard product and the scaling are formed in place in the Gram
+    matrix's buffer. Written with |beta3|^2 so the result is Hermitian by
+    construction.
     """
     W = np.asarray(W)
-    C = W @ W.conj().T
-    return 2.0 * np.abs(pa.beta3) ** 2 * (C * np.abs(C) ** 2)
-
+    C = W @ np.swapaxes(W.conj(), -1, -2)
+    np.multiply(C, np.abs(C) ** 2, out=C)
+    return np.multiply(2.0 * np.abs(pa.beta3) ** 2, C, out=C)

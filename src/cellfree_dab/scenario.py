@@ -207,6 +207,9 @@ def generate_channel(
 
     The LoS path uses ``los_exponent``; each NLoS path draws its own exponent
     uniformly from ``nlos_exponent_range`` (one draw per (b, k, m) triple).
+    One ``steering_vector`` call covers every (b, k, m) and the path sum is
+    one batched (1, M) @ (M, Nt) matmul, bit for bit the per-(b, k) loop
+    (``validate.channel_loop``).
     """
     B, Nt, K, M = config.num_bs, config.num_antennas, config.num_ues, config.num_paths
     if geom.path_angles.shape != (B, K, M):
@@ -222,13 +225,11 @@ def generate_channel(
         geom.path_distances, kappas, config.pathloss_ref_db, config.ref_distance
     ).astype(complex)
 
-    H = np.zeros((B, Nt, K), dtype=complex)
-    for b in range(B):
-        for k in range(K):
-            steer = steering_vector(
-                geom.path_angles[b, k], Nt, config.carrier_freq, config.antenna_spacing
-            )  # (M, Nt)
-            H[b, :, k] = alpha[b, k] @ steer
+    steer = steering_vector(
+        geom.path_angles, Nt, config.carrier_freq, config.antenna_spacing
+    )  # (B, K, M, Nt)
+    paths = alpha[:, :, None, :] @ steer  # (B, K, 1, Nt): one row per (b, k)
+    H = np.ascontiguousarray(np.swapaxes(paths[:, :, 0, :], 1, 2))
     return ChannelSet(H=H, alpha=alpha)
 
 

@@ -14,7 +14,9 @@ direct forms here: the single-BS objective from the beamformer, and the
 star center's aggregation objective with its gradient. So do the forms no
 solver evaluates at all: the dense Bussgang gain matrix (the solvers read
 its diagonal, ``pa_model.bussgang_gain_diag``), the full transformed
-sum-rate objective, and the w-step objective.
+sum-rate objective, and the w-step objective. So do the per-BS loops that
+the stacked BS axis replaced: the aggregates, the start-point scan and the
+channel's path sum, which the stacked forms equal bit for bit.
 
 The checks are a trimmed version of the oracle checks from the test suite,
 sized to run in well under a minute; ``run_validation`` prints one
@@ -26,12 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import fp_core, local_solver, metrics
-from .common import SolverOptions
+from .common import (NUM_HALVINGS, SolverOptions, channel_scale,
+                     initial_beamformers)
 from .fp_core import FpState, MetricsInputs
 from .local_solver import Lift, StarContext, Workspace, unvec, vec
 from .pa_model import PaModel, amplify, bussgang_gain_diag, distortion_cov
 from .ring_solver import run_ring
-from .scenario import desk_profile, make_scenario
+from .scenario import desk_profile, make_scenario, steering_vector
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +253,58 @@ def aggregation_gradient(Q_C, Q_L, lam, fp: FpState, varrho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-BS loops behind the stacked BS axis
+# ---------------------------------------------------------------------------
+
+def metrics_inputs_loop(H, W, pa: PaModel, sigma2) -> MetricsInputs:
+    """``fp_core.build_metrics_inputs`` one BS at a time, summed in a loop."""
+    Qsum = np.zeros((H.shape[-1], H.shape[-1]), dtype=complex)
+    psum = np.zeros(H.shape[-1])
+    for H_b, W_b in zip(H, W):
+        Q, p = fp_core.bs_contribution(H_b, W_b, pa)
+        Qsum += Q
+        psum += p
+    return MetricsInputs(Qsum=Qsum, psum=psum, sigma2=sigma2)
+
+
+def initial_beamformers_loop(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray:
+    """``common.initial_beamformers`` one BS and one backoff at a time."""
+    H = np.asarray(H)
+    B, _, K = H.shape
+    mf = np.empty_like(H)
+    zf = np.empty_like(H)
+    for b in range(B):
+        Hb = H[b]
+        mf[b] = Hb / np.linalg.norm(Hb, axis=0, keepdims=True)
+        gram = Hb.conj().T @ Hb
+        ridge = 1e-12 * np.trace(gram).real / K
+        Z = Hb @ np.linalg.inv(gram + ridge * np.eye(K))
+        zf[b] = Z / np.linalg.norm(Z, axis=0, keepdims=True)
+    best_W, best_rate = None, -np.inf
+    for cand in (mf, zf):
+        W_full = np.sqrt(Pt / K) * cand
+        for half_exponent in range(2 * NUM_HALVINGS + 1):
+            c = 0.5 ** (0.5 * half_exponent)
+            W = np.sqrt(c) * W_full
+            rate = fp_core.sum_rate(metrics_inputs_loop(H, W, pa, sigma2))
+            if rate > best_rate:
+                best_W, best_rate = W, rate
+    return best_W
+
+
+def channel_loop(geom, alpha: np.ndarray, config) -> np.ndarray:
+    """The path sum of ``scenario.generate_channel``, one (b, k) at a time."""
+    B, K, _ = alpha.shape
+    H = np.zeros((B, config.num_antennas, K), dtype=complex)
+    for b in range(B):
+        for k in range(K):
+            steer = steering_vector(geom.path_angles[b, k], config.num_antennas,
+                                    config.carrier_freq, config.antenna_spacing)
+            H[b, :, k] = alpha[b, k] @ steer
+    return H
+
+
+# ---------------------------------------------------------------------------
 # self-checks
 # ---------------------------------------------------------------------------
 
@@ -367,6 +422,19 @@ def check_ring_consistency(seed: int) -> bool:
     )
 
 
+def check_stacked_bs_axis(seed: int) -> bool:
+    """The stacked start point and channel equal their per-BS loops bit for bit."""
+    pa = PaModel.reference()
+    cfg = desk_profile(num_bs=3, rng_seed=seed)
+    geom, ch = make_scenario(cfg)
+    scale = channel_scale(ch.H)
+    H, sigma2 = ch.H / scale, cfg.sigma2 / scale**2
+    W0 = initial_beamformers(H, cfg.power_budget, pa, sigma2)
+    return (np.array_equal(channel_loop(geom, ch.alpha, cfg), ch.H)
+            and np.array_equal(
+                W0, initial_beamformers_loop(H, cfg.power_budget, pa, sigma2)))
+
+
 def check_overhead() -> bool:
     return (metrics.overhead_ring(6, 10) == 420
             and metrics.overhead_star(4, 6, 10)[2] == 6480)
@@ -379,6 +447,7 @@ CHECKS = (
     ("closed-form R step vs dense solve", check_r_step, True),
     ("closed-form w step vs feasible points", check_w_step, True),
     ("ring aggregate consistency", check_ring_consistency, True),
+    ("stacked BS axis vs per-BS loops", check_stacked_bs_axis, True),
     ("overhead formulas", check_overhead, False),
 )
 

@@ -64,9 +64,8 @@ def test_traced_solves_record_setup_and_sweeps():
         for solve in solves:
             assert per_solve[solve] >= 1, (name, solve)
 
-    # one contribution per BS for the initial cache, then one per visit
+    # one stacked contribution for the initial cache, then one per visit
     # plus one per rejected attempt; no report reads the Hermitian deviation
-    B = cfg.num_bs
     per_solve = {name: Counter(s.solve for s in spans if s.name == name)
                  for name in ("local_solver.sweep", "local_solver.update_w",
                               "local_solver.hermitian_deviation",
@@ -81,7 +80,7 @@ def test_traced_solves_record_setup_and_sweeps():
     for solve in solves:
         visits = per_solve["local_solver.sweep"][solve]
         rejected = per_solve["local_solver.update_w"][solve] - visits
-        assert contributions[solve] == B + visits + rejected, solve
+        assert contributions[solve] == 1 + visits + rejected, solve
         assert per_solve["local_solver.hermitian_deviation"][solve] == 0
         # the surrogate objective once per visit, for the ring or central
         # trace row that reports it; star's trace has no such column

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cellfree_dab import fp_core
 from cellfree_dab.fp_core import (
     FpState,
     MetricsInputs,

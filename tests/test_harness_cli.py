@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -194,6 +193,16 @@ class TestCli:
     def test_bad_args_exit_1(self):
         assert cli_main(["overhead", "--K", "6"]) == 1
         assert cli_main(["sweep", "--var", "volume", "--values", "1:1:3"]) == 1
+
+    @pytest.mark.parametrize("var,values", [("bs", "2.5"), ("nt", "4,4.5"),
+                                            ("bs", "1:0.5:2"), ("nt", "inf")])
+    def test_fractional_count_exits_1(self, var, values, tmp_path, capsys):
+        code = cli_main(["sweep", "--var", var, "--values", values,
+                         "--trials", "1", "--solver", "ring", "--mode", "DAB",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "whole numbers" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_sweep_runs(self, tmp_path):
         code = cli_main([

@@ -12,7 +12,6 @@ from cellfree_dab.validate import aggregation_gradient, central_objective_star
 from cellfree_dab.star_solver import (
     STAR_TRACE_COLUMNS,
     aggregate,
-    consensus_residual,
     dual_update,
     interference_share,
     run_star,
