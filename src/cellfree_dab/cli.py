@@ -106,9 +106,6 @@ def build_parser() -> _Parser:
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
 
-    p = sub.add_parser("validate", help="run the quick oracle suite")
-    p.add_argument("--seed", type=int, default=0)
-
     return parser
 
 
@@ -129,11 +126,6 @@ def cli_main(argv=None) -> int:
             print(f"ring {ring}")
             print(f"star {star}")
             return 0
-
-        if args.command == "validate":
-            from .validate import run_validation
-
-            return 0 if run_validation(args.seed) else 2
 
         cfg = _load_config(args)
         if args.command == "convergence":

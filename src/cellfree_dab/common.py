@@ -82,13 +82,16 @@ def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray:
     first one on a tie. Both scans matter: correlated line-of-sight columns
     leave the matched filter in an interference-limited basin the block
     iteration cannot escape, and distortion-dominated regimes put the
-    full-budget start in the wrong power basin.
+    full-budget start in the wrong power basin. If no pair scores a finite
+    rate (at budgets near 1e107 W every rate is NaN), it raises
+    ``RuntimeError``.
 
     Both shapes are built for all B stations at once along H's leading BS
     axis (stacked Gram, inverse and column norms). Each candidate is one
     stacked ``fp_core.bs_contribution`` and the backoffs of a shape are
     scored by one stacked ``fp_core.sum_rate``; every step equals its
-    per-BS form (``validate.initial_beamformers_loop``) bit for bit.
+    per-BS form (``initial_beamformers_loop`` in ``tests/reference.py``) bit
+    for bit.
     """
     H = np.asarray(H)
     K = H.shape[-1]
@@ -111,6 +114,9 @@ def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray:
         for W, rate in zip(scan, rates):
             if rate > best_rate:
                 best_W, best_rate = W, rate
+    if best_W is None:
+        raise RuntimeError(f"no start point scores a finite sum rate at "
+                           f"Pt={Pt!r} W")
     return best_W
 
 

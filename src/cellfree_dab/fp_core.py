@@ -9,7 +9,7 @@ never hit the floor because noise powers are positive. Contributions and
 rates also take a leading stack axis (BSs, or candidate aggregates), so all
 B stations or a whole scan cost one numpy call per step. The full
 transformed objective, which the solvers never evaluate, is a reference in
-``validate``.
+``tests/reference.py``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ of the diagonal's K blocks and writes every other entry in closed form. R is
 kept in that structured form (``Lift``) and read only through it, so a visit
 costs O(Nt^3 + Nt^2 K) time and O(Nt^2 + Nt K) memory; the (Nt K)^2 dense
 reference (expansion, stationarity system, objective, lifting matrix) lives
-in ``validate``.
+in ``tests/reference.py``.
 
 The penalty coefficient rho follows one fixed schedule. A BS starts at
 ``RHO_INIT``; a visit multiplies rho by ``RHO_GROWTH`` when its relative
@@ -85,20 +85,19 @@ class Workspace:
     Q_other: np.ndarray      # (K, K) other-BS aggregate
     Nt: int
     K: int
-    h: np.ndarray = field(init=False)             # vec(H), (Nt K,)
     useful_weight: np.ndarray = field(init=False)  # (K,)
     chan_gram: np.ndarray = field(init=False)      # (Nt, Nt)
     interf: np.ndarray = field(init=False)         # (Nt K,)
     linear_coeff: np.ndarray = field(init=False)   # (Nt K,)
 
     def __post_init__(self):
-        self.h = vec(self.H)
+        h = vec(self.H)
         self.useful_weight = np.sqrt(1.0 + self.mu) * np.conj(self.zeta)
         aw = np.abs(self.zeta) ** 2
         self.chan_gram = (self.H * aw[None, :]) @ self.H.conj().T
         # e_j = sum_k |zeta_k|^2 Q_other[k, j] h_k
         self.interf = vec(self.H @ (aw[:, None] * self.Q_other))
-        e2h = np.repeat(np.conj(self.useful_weight), self.Nt) * self.h
+        e2h = np.repeat(np.conj(self.useful_weight), self.Nt) * h
         self.linear_coeff = 2.0 * (self.interf - e2h)
 
 
@@ -142,7 +141,7 @@ class Lift:
     step was solved at, E = (|beta3|^2 / rho) conj(V3), and d is the solved
     diagonal; the tight lift w w^H is ``rank_one(w)``. The solver reads R
     only through the methods below, each O(Nt^2 K), so the (Nt K)^2 matrix
-    is never formed (``validate.expand`` builds it for reference checks).
+    is never formed (``expand`` in ``tests/reference.py`` builds it).
     E's own diagonal is not part of R and is never read.
 
     R is an unconstrained complex matrix. With a complex beta3 the solved

@@ -209,7 +209,7 @@ def generate_channel(
     uniformly from ``nlos_exponent_range`` (one draw per (b, k, m) triple).
     One ``steering_vector`` call covers every (b, k, m) and the path sum is
     one batched (1, M) @ (M, Nt) matmul, bit for bit the per-(b, k) loop
-    (``validate.channel_loop``).
+    (``channel_loop`` in ``tests/reference.py``).
     """
     B, Nt, K, M = config.num_bs, config.num_antennas, config.num_ues, config.num_paths
     if geom.path_angles.shape != (B, K, M):

@@ -1,13 +1,13 @@
-"""Reference implementations, and the ``validate`` CLI self-checks.
+"""Reference implementations the tests compare the solvers against.
 
 The solvers keep the lifted matrix R in structured form
 (``local_solver.Lift``) and never build an (Nt K) x (Nt K) matrix. The dense
-reference that the tests and the checks below compare the structured path
-against lives here and only here: the expansion of a ``Lift``, the gain and
-distortion read from a dense R, the dense R-step stationarity system and
-its solve, the R-step objective at a dense R, the gain lifting matrix and
-Jacobian, and the dense views of a ``Workspace``. It is sized for small
-Nt K: the stationarity system alone has (Nt K)^4 entries.
+reference that the tests compare the structured path against lives here and
+only here: the expansion of a ``Lift``, the gain and distortion read from a
+dense R, the dense R-step stationarity system and its solve, the R-step
+objective at a dense R, the gain lifting matrix and Jacobian, and the dense
+views of a ``Workspace``. It is sized for small Nt K: the stationarity system
+alone has (Nt K)^4 entries.
 
 The objectives the solvers evaluate from contributions also have their
 direct forms here: the single-BS objective from the beamformer, and the
@@ -17,24 +17,18 @@ its diagonal, ``pa_model.bussgang_gain_diag``), the full transformed
 sum-rate objective, and the w-step objective. So do the per-BS loops that
 the stacked BS axis replaced: the aggregates, the start-point scan and the
 channel's path sum, which the stacked forms equal bit for bit.
-
-The checks are a trimmed version of the oracle checks from the test suite,
-sized to run in well under a minute; ``run_validation`` prints one
-PASS/FAIL line per check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import fp_core, local_solver, metrics
-from .common import (NUM_HALVINGS, SolverOptions, channel_scale,
-                     initial_beamformers)
-from .fp_core import FpState, MetricsInputs
-from .local_solver import Lift, StarContext, Workspace, unvec, vec
-from .pa_model import PaModel, amplify, bussgang_gain_diag, distortion_cov
-from .ring_solver import run_ring
-from .scenario import desk_profile, make_scenario, steering_vector
+from cellfree_dab import fp_core, local_solver
+from cellfree_dab.common import NUM_HALVINGS
+from cellfree_dab.fp_core import FpState, MetricsInputs
+from cellfree_dab.local_solver import Lift, StarContext, Workspace, unvec, vec
+from cellfree_dab.pa_model import PaModel, bussgang_gain_diag, distortion_cov
+from cellfree_dab.scenario import steering_vector
 
 
 # ---------------------------------------------------------------------------
@@ -302,160 +296,3 @@ def channel_loop(geom, alpha: np.ndarray, config) -> np.ndarray:
                                     config.carrier_freq, config.antenna_spacing)
             H[b, :, k] = alpha[b, k] @ steer
     return H
-
-
-# ---------------------------------------------------------------------------
-# self-checks
-# ---------------------------------------------------------------------------
-
-def _rand_c(rng, *shape, scale=1.0):
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def check_bussgang_moments(seed: int) -> bool:
-    rng = np.random.default_rng(seed)
-    pa = PaModel.reference()
-    Nt, K, n = 4, 2, 100_000
-    ok = True
-    for _ in range(3):
-        W = _rand_c(rng, Nt, K, scale=0.6)
-        S = _rand_c(rng, K, n, scale=np.sqrt(0.5))
-        X = W @ S
-        Z = amplify(X, pa)
-        G = bussgang_gain(W, pa)
-        Czx = Z @ X.conj().T / n
-        Cxx = X @ X.conj().T / n
-        gain_err = np.linalg.norm(Czx - G @ Cxx) / np.linalg.norm(G @ Cxx)
-        D = Z - G @ X
-        Cd_err = (np.linalg.norm(D @ D.conj().T / n - distortion_cov(W, pa))
-                  / np.linalg.norm(distortion_cov(W, pa)))
-        ok = ok and gain_err < 0.02 and Cd_err < 0.05
-    return ok
-
-
-def check_fp_equivalence(seed: int) -> bool:
-    rng = np.random.default_rng(seed + 1)
-    for _ in range(20):
-        K = rng.integers(1, 4)
-        Q = _rand_c(rng, K, K)
-        p = rng.uniform(0.0, 0.5, K)
-        sig = rng.uniform(0.1, 1.0, K)
-        inputs = MetricsInputs(Qsum=Q, psum=p, sigma2=sig)
-        fp = fp_core.update_fp(inputs)
-        lhs = transformed_objective(inputs, fp)
-        rhs = fp_core.sum_rate(inputs)
-        if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-            return False
-    return True
-
-
-def check_lifting_chain(seed: int) -> bool:
-    pa = PaModel.reference()
-    rng = np.random.default_rng(seed + 2)
-    for Nt, K in ((2, 1), (2, 2), (3, 2)):
-        N = Nt * K
-        J = gain_lifting_matrix(Nt, K) @ gain_jacobian(pa, Nt, K)
-        R = _rand_c(rng, N, N)
-        eps = 1e-6
-        base = vec(np.kron(np.eye(K), dense_gain(R, pa, Nt, K)))
-        for idx in range(0, N * N, max(1, (N * N) // 8)):
-            dR = np.zeros((N * N,), dtype=complex)
-            dR[idx] = eps
-            Rp = R + unvec(dR, N, N)
-            col = (vec(np.kron(np.eye(K), dense_gain(Rp, pa, Nt, K))) - base) / eps
-            if np.abs(col - J[:, idx]).max() > 1e-6 * max(1.0, np.abs(J).max()):
-                return False
-    return True
-
-
-def check_r_step(seed: int) -> bool:
-    rng = np.random.default_rng(seed + 3)
-    pa = PaModel.reference()
-    Nt, K = 2, 2
-    N = Nt * K
-    for _ in range(5):
-        H = _rand_c(rng, Nt, K)
-        fp = FpState(mu=rng.uniform(0.1, 2.0, K), zeta=_rand_c(rng, K, scale=0.6))
-        ws = local_solver.build_workspace(H, fp, Nt, K, _rand_c(rng, K, K, scale=0.4))
-        w = _rand_c(rng, N, scale=0.6)
-        state = local_solver.state_from_beamformer(unvec(w, Nt, K), rho=1.7)
-        R = expand(local_solver.update_R(state, ws, pa))
-        R_dense = solve_r_dense(w, ws, pa, 1.7, state.F_abs_sq)
-        if np.abs(R - R_dense).max() > 1e-8 * max(1.0, np.abs(R).max()):
-            return False
-    return True
-
-
-def check_w_step(seed: int) -> bool:
-    rng = np.random.default_rng(seed + 4)
-    pa = PaModel.reference()
-    Nt, K = 3, 2
-    N = Nt * K
-    for _ in range(5):
-        H = _rand_c(rng, Nt, K)
-        fp = FpState(mu=rng.uniform(0.1, 2.0, K), zeta=_rand_c(rng, K, scale=0.6))
-        ws = local_solver.build_workspace(H, fp, Nt, K, _rand_c(rng, K, K, scale=0.4))
-        w0 = _rand_c(rng, N, scale=0.5)
-        state = local_solver.state_from_beamformer(unvec(w0, Nt, K), rho=1.3)
-        Pt = 1.0
-        A, C = local_solver.w_subproblem_terms(state, ws, pa)
-        w_new = local_solver.update_w(state, ws, pa, Pt)
-        if np.linalg.norm(w_new) ** 2 > Pt * (1 + 1e-9):
-            return False
-        obj = w_subproblem_objective(w_new, A, C, 1.3, Nt, K)
-        for _ in range(20):
-            z = _rand_c(rng, N, scale=1.0)
-            z *= np.sqrt(Pt * rng.uniform(0, 1)) / np.linalg.norm(z)
-            if w_subproblem_objective(z, A, C, 1.3, Nt, K) < obj - 1e-9:
-                return False
-    return True
-
-
-def check_ring_consistency(seed: int) -> bool:
-    pa = PaModel.reference()
-    cfg = desk_profile(rng_seed=seed)
-    _, ch = make_scenario(cfg)
-    rep = run_ring(ch, cfg, pa, SolverOptions(max_outer=5, tol=0.0))
-    inputs = fp_core.build_metrics_inputs(ch.H, rep.W, pa, cfg.sigma2)
-    return abs(rep.sum_rate - fp_core.sum_rate(inputs)) < 1e-8 * max(
-        1.0, abs(rep.sum_rate)
-    )
-
-
-def check_stacked_bs_axis(seed: int) -> bool:
-    """The stacked start point and channel equal their per-BS loops bit for bit."""
-    pa = PaModel.reference()
-    cfg = desk_profile(num_bs=3, rng_seed=seed)
-    geom, ch = make_scenario(cfg)
-    scale = channel_scale(ch.H)
-    H, sigma2 = ch.H / scale, cfg.sigma2 / scale**2
-    W0 = initial_beamformers(H, cfg.power_budget, pa, sigma2)
-    return (np.array_equal(channel_loop(geom, ch.alpha, cfg), ch.H)
-            and np.array_equal(
-                W0, initial_beamformers_loop(H, cfg.power_budget, pa, sigma2)))
-
-
-def check_overhead() -> bool:
-    return (metrics.overhead_ring(6, 10) == 420
-            and metrics.overhead_star(4, 6, 10)[2] == 6480)
-
-
-CHECKS = (
-    ("bussgang moment formulas", check_bussgang_moments, True),
-    ("fp transform equivalence", check_fp_equivalence, True),
-    ("gain lifting chain rule", check_lifting_chain, True),
-    ("closed-form R step vs dense solve", check_r_step, True),
-    ("closed-form w step vs feasible points", check_w_step, True),
-    ("ring aggregate consistency", check_ring_consistency, True),
-    ("stacked BS axis vs per-BS loops", check_stacked_bs_axis, True),
-    ("overhead formulas", check_overhead, False),
-)
-
-
-def run_validation(seed: int = 0) -> bool:
-    all_ok = True
-    for name, fn, needs_seed in CHECKS:
-        ok = fn(seed) if needs_seed else fn()
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        all_ok = all_ok and ok
-    return all_ok

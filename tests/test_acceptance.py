@@ -5,23 +5,26 @@ per criterion. Desk scale means B=2, Nt=4, K=2 unless a criterion says
 otherwise.
 """
 
+import json
+import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cellfree_dab import fp_core, local_solver as ls, metrics
-from cellfree_dab import validate as ref
+import reference as ref
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.central_solver import run_central
 from cellfree_dab.fp_core import FpState, MetricsInputs
 from cellfree_dab.pa_model import PaModel, amplify, distortion_cov
 from cellfree_dab.ring_solver import run_ring
 from cellfree_dab.star_solver import aggregate, run_star
-from cellfree_dab.scenario import desk_profile, make_scenario
+from cellfree_dab.scenario import desk_profile, full_profile, make_scenario
 from cellfree_dab.metrics import beam_pattern, evaluate, sidelobe_mainlobe_ratio
-from cellfree_dab.validate import bussgang_gain
+from reference import bussgang_gain
 
 N_SEEDS = 20
 PT_DEFAULT_DBM = 38.0
@@ -434,3 +437,57 @@ def test_criterion_12_beam_pattern_sidelobes():
                 wins += 1
         assert checked == 10
         assert wins >= 8, f"wins={wins}"
+
+
+# ---------------------------------------------------------------------------
+# pinned rates
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_rates.json"
+GOLDEN_REGEN_ENV = "CELLFREE_DAB_REGEN_GOLDEN"
+GOLDEN_RTOL = 1e-9
+
+
+def golden_cases(convergence_runs, ordering_runs):
+    """Sum rate, plus the iteration count where a report is kept, per case."""
+    cases = {}
+    for seed, row in enumerate(convergence_runs):
+        for solver in ("ring", "star"):
+            rep = row[solver]
+            cases[f"convergence/seed{seed:02d}/{solver}"] = {
+                "sum_rate": rep.sum_rate, "iterations": rep.iterations}
+    for seed, row in enumerate(ordering_runs):
+        for arm in ("ideal", "central", "star", "ring", "dub"):
+            cases[f"ordering/seed{seed:02d}/{arm}"] = {"sum_rate": row[arm]}
+    cfg = full_profile(rng_seed=1)
+    _, ch = make_scenario(cfg)
+    for tag, pa in (("DAB", PaModel.reference()), ("IDEAL", PaModel.ideal())):
+        for name, run in (("ring", run_ring), ("star", run_star),
+                          ("central", run_central)):
+            rep = run(ch, cfg, pa)
+            cases[f"full_profile/seed01/{name}/{tag}"] = {
+                "sum_rate": rep.sum_rate, "iterations": rep.iterations}
+    return cases
+
+
+def test_golden_rates(convergence_runs, ordering_runs):
+    """Every pinned rate within 1e-9 relative, every iteration count exact.
+
+    ``python tests/regen_golden_rates.py`` rewrites the file; a rewrite
+    changes what this test checks.
+    """
+    cases = golden_cases(convergence_runs, ordering_runs)
+    if os.environ.get(GOLDEN_REGEN_ENV):
+        GOLDEN_PATH.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"regenerated {GOLDEN_PATH.name}")
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(cases) == sorted(golden)
+    moved = []
+    for key, want in golden.items():
+        got = cases[key]
+        if (abs(got["sum_rate"] - want["sum_rate"])
+                > GOLDEN_RTOL * abs(want["sum_rate"])
+                or got.get("iterations") != want.get("iterations")):
+            moved.append(f"{key}: {got} != {want}")
+    assert not moved, f"{len(moved)} of {len(golden)} cases moved:\n" + \
+        "\n".join(moved)

@@ -13,7 +13,7 @@ from cellfree_dab.fp_core import (
     update_zeta,
 )
 from cellfree_dab.pa_model import PaModel, distortion_cov
-from cellfree_dab.validate import (
+from reference import (
     bussgang_gain,
     central_objective_star,
     local_objective_ring,

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from cellfree_dab.central_solver import run_central
 from cellfree_dab.cli import _parse_values, cli_main
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.harness import (
@@ -14,7 +16,9 @@ from cellfree_dab.harness import (
     trial_seed,
 )
 from cellfree_dab.pa_model import PaModel
-from cellfree_dab.scenario import desk_profile
+from cellfree_dab.ring_solver import run_ring
+from cellfree_dab.scenario import desk_profile, make_scenario
+from cellfree_dab.star_solver import run_star
 
 FAST_OPTS = SolverOptions(max_outer=3, tol=0.0)
 
@@ -162,10 +166,15 @@ def test_linalg_error_recorded_and_run_continues(tmp_path, monkeypatch):
     assert sorted(rows.values()) == ["ok", "ok", "ok"]
 
 
-def test_validate_cli_exits_zero(capsys):
-    assert cli_main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out and "PASS" in out
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # expected overflow
+@pytest.mark.parametrize("run", [run_ring, run_star, run_central],
+                         ids=["ring", "star", "central"])
+def test_huge_budget_raises_runtime_error(run):
+    # at 1100 dBm (1e107 W) every start-point candidate scores a NaN rate
+    cfg = desk_profile(rng_seed=1, power_budget=dbm_to_watt(1100.0))
+    _, ch = make_scenario(cfg)
+    with pytest.raises(RuntimeError, match="Pt="):
+        run(ch, cfg, PaModel.reference())
 
 
 def test_worker_env_cap(monkeypatch):
@@ -213,6 +222,22 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # expected overflow
+    def test_sweep_huge_budget_fails_only_its_rows(self, tmp_path):
+        code = cli_main([
+            "sweep", "--var", "pt", "--values", "8,1100", "--mode", "DAB",
+            "--trials", "2", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 3 * 2  # values x solvers x trials
+        for row in rows:
+            if float(row["value"]) == 8.0:
+                assert row["status"] == "ok", row
+            else:
+                assert row["status"].startswith("error:"), row
 
     def test_config_roundtrip_through_cli(self, tmp_path):
         cfg = desk_profile(rng_seed=9)

@@ -3,7 +3,7 @@
 The solver keeps R as ``local_solver.Lift`` and reads it only through the
 Lift's methods and the module functions built on them. Every such read must
 equal the same quantity computed on the dense (Nt K) x (Nt K) matrix that
-``validate.expand`` builds, and the R-step must match the dense
+``reference.expand`` builds, and the R-step must match the dense
 stationarity solve.
 """
 
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 
 from cellfree_dab import local_solver as ls
-from cellfree_dab import validate as ref
+import reference as ref
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.fp_core import FpState
 from cellfree_dab.pa_model import PaModel

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cellfree_dab import local_solver as ls
-from cellfree_dab import validate as ref
+import reference as ref
 from cellfree_dab.fp_core import FpState
 from cellfree_dab.pa_model import PaModel, distortion_cov
-from cellfree_dab.validate import bussgang_gain
+from reference import bussgang_gain
 
 
 def rand_c(rng, *shape, scale=1.0):

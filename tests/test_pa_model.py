@@ -7,7 +7,7 @@ from cellfree_dab.pa_model import (
     bussgang_gain_diag,
     distortion_cov,
 )
-from cellfree_dab.validate import bussgang_gain
+from reference import bussgang_gain
 
 
 def rand_c(rng, *shape, scale=1.0):

@@ -26,6 +26,10 @@ def test_token_state_consistency():
         _, ch = make_scenario(cfg)
         rep = run_ring(ch, cfg, pa, SolverOptions(max_outer=6, tol=0.0))
         assert rep.diagnostics["consistency_error_max"] <= 1e-8
+        # the reported rate is the one its W gives from scratch
+        inputs = fp_core.build_metrics_inputs(ch.H, rep.W, pa, cfg.sigma2)
+        assert abs(rep.sum_rate - fp_core.sum_rate(inputs)) < 1e-8 * max(
+            1.0, abs(rep.sum_rate))
 
 
 def test_overhead_counter_and_message_size():

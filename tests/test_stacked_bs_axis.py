@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cellfree_dab import validate as ref
+import reference as ref
 from cellfree_dab.common import channel_scale, initial_beamformers
 from cellfree_dab.fp_core import (
     MetricsInputs,

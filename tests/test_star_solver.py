@@ -8,7 +8,7 @@ from cellfree_dab.fp_core import FpState
 from cellfree_dab.local_solver import unvec, vec
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag
 from cellfree_dab.scenario import desk_profile, make_scenario
-from cellfree_dab.validate import aggregation_gradient, central_objective_star
+from reference import aggregation_gradient, central_objective_star
 from cellfree_dab.star_solver import (
     STAR_TRACE_COLUMNS,
     aggregate,

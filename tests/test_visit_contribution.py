@@ -12,7 +12,7 @@ import pytest
 
 from cellfree_dab import central_solver, fp_core, local_solver as ls
 from cellfree_dab import ring_solver, star_solver
-from cellfree_dab import validate as ref
+import reference as ref
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.fp_core import FpState
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag
