@@ -37,15 +37,17 @@ class Network:
     scale: float
     Pt: float
     pa: PaModel            # design amplifier
-    states: list           # per-BS LocalSolverState
+    groups: list           # the BS (index) or BSs (slice) of each state
+    states: list           # LocalSolverState of each group
     Q_parts: np.ndarray    # (B, K, K) cached signal/interference blocks
     p_parts: np.ndarray    # (B, K) cached received distortion powers
 
-    def visit(self, b: int, ws, star=None):
-        """Sweep BS b from its cached contribution and cache the result."""
-        self.Q_parts[b], self.p_parts[b] = local_solver.sweep(
-            self.states[b], ws, self.pa, self.Pt, star,
-            contribution=(self.Q_parts[b], self.p_parts[b]),
+    def visit(self, g: int, ws, star=None):
+        """Sweep group g from its cached contribution(s) and cache the result."""
+        bs = self.groups[g]
+        self.Q_parts[bs], self.p_parts[bs] = local_solver.sweep(
+            self.states[g], ws, self.pa, self.Pt, star,
+            contribution=(self.Q_parts[bs], self.p_parts[bs]),
         )
 
     def inputs(self) -> MetricsInputs:
@@ -58,7 +60,8 @@ class Network:
                trace_columns, counters: dict, diagnostics: dict) -> SolutionReport:
         states = self.states
         return SolutionReport(
-            W=np.stack([s.W for s in states]),
+            W=np.concatenate([s.W.reshape((-1,) + s.W.shape[-2:])
+                              for s in states]),
             sum_rate=self.rate(),
             fp=FpState(mu=fp.mu, zeta=fp.zeta / self.scale),  # original units
             iterations=iterations,
@@ -68,39 +71,49 @@ class Network:
             counters=counters,
             diagnostics={
                 **diagnostics,
-                "penalty_residuals": [local_solver.penalty_residual(s)
-                                      for s in states],
-                "ridge_fallbacks": sum(s.ridge_fallbacks for s in states),
-                "rejected_sweeps": sum(s.rejected_sweeps for s in states),
+                "penalty_residuals": [
+                    r for s in states
+                    for r in np.ravel(local_solver.penalty_residual(s)).tolist()],
+                "ridge_fallbacks": sum(int(np.sum(s.ridge_fallbacks))
+                                       for s in states),
+                "rejected_sweeps": sum(int(np.sum(s.rejected_sweeps))
+                                       for s in states),
             },
         )
 
 
-def setup(channels, config, pa: PaModel, initial_beamformers) -> Network:
+def setup(channels, config, pa: PaModel, initial_beamformers,
+          batched: bool = False) -> Network:
     """Normalize the channel and start every BS from ``initial_beamformers``.
 
-    The initial cache is one stacked ``fp_core.bs_contribution`` over the
-    BS axis of (H, W0): its (B, K, K) and (B, K) outputs are the cached
-    ``Q_parts`` and ``p_parts``, bit for bit the per-BS contributions.
-    Solvers pass their own module binding of ``common.initial_beamformers``,
-    so a profiler that wraps the name in a solver module sees the call.
+    The BSs' states are one state with a lane axis of B when ``batched``
+    (star moves all stations in one sweep), else one state per BS (ring and
+    central visit one station at a time). The initial cache is one stacked
+    ``fp_core.bs_contribution`` over the BS axis of (H, W0): its (B, K, K)
+    and (B, K) outputs are the cached ``Q_parts`` and ``p_parts``, bit for
+    bit the per-BS contributions. Solvers pass their own module binding of
+    ``common.initial_beamformers``, so a profiler that wraps the name in a
+    solver module sees the call.
     """
     scale = channel_scale(channels.H)
     H = channels.H / scale
     sigma2 = np.asarray(config.sigma2) / scale**2
     Pt = config.power_budget
     W0 = initial_beamformers(H, Pt, pa, sigma2)
-    states = [local_solver.state_from_beamformer(W0_b) for W0_b in W0]
+    B = H.shape[0]
+    groups = [slice(0, B)] if batched else list(range(B))
+    states = [local_solver.state_from_beamformer(W0[g]) for g in groups]
     Q_parts, p_parts = fp_core.bs_contribution(H, W0, pa)
     return Network(H=H, sigma2=sigma2, scale=scale, Pt=Pt, pa=pa,
-                   states=states, Q_parts=Q_parts,
+                   groups=groups, states=states, Q_parts=Q_parts,
                    p_parts=np.ascontiguousarray(p_parts))
 
 
 def converged(rate: float, rate_prev: float, states, opts: SolverOptions) -> bool:
     """Pass-end test: the rate has settled and every lift is tight."""
     return (abs(rate - rate_prev) <= opts.tol * max(1.0, abs(rate_prev))
-            and max(local_solver.penalty_residual(s) for s in states)
+            and max(float(np.max(local_solver.penalty_residual(s)))
+                    for s in states)
             <= local_solver.PENALTY_RESID_TOL)
 
 
@@ -141,7 +154,7 @@ def run_blocks(net: Network, opts: SolverOptions, order, fp_period: int,
         if not np.isfinite(rate):
             raise RuntimeError(f"non-finite sum rate at visit {t}")
         obj = local_solver.local_penalized_objective(state, ws, net.pa)
-        row = (t, b, obj, rate, state.prev_residual,
+        row = (t, b, float(obj), rate, float(state.prev_residual),
                metrics.overhead_ring(K, t))
         trace.append(row[:len(trace_columns)])
 

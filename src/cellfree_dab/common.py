@@ -31,10 +31,23 @@ class SolverOptions:
     varrho: float = 10.0
 
     def __post_init__(self):
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
-        if self.varrho <= 0:
-            raise ValueError("varrho must be positive")
+        if (isinstance(self.max_outer, bool)
+                or not isinstance(self.max_outer, (int, np.integer))
+                or self.max_outer < 1):
+            raise ValueError(f"max_outer must be an integer >= 1, "
+                             f"got {self.max_outer!r}")
+        if not _real(self.tol) or not np.isfinite(self.tol) or self.tol < 0:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        if (not _real(self.varrho) or not np.isfinite(self.varrho)
+                or self.varrho <= 0):
+            raise ValueError(f"varrho must be finite and positive, "
+                             f"got {self.varrho!r}")
+
+
+def _real(x) -> bool:
+    """A real number that is not a bool."""
+    return (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool))
 
 
 MODE_TAGS = ("DAB", "DUB", "IDEAL")

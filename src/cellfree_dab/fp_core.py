@@ -144,17 +144,22 @@ def update_fp(inputs: MetricsInputs) -> FpState:
     return FpState(mu=mu, zeta=_zeta(inputs, mu, full))
 
 
-def local_objective(Q_hat, A, p, mu, zeta) -> float:
+def local_objective(Q_hat, A, p, mu, zeta):
     """Single-BS share of the transformed objective, other BSs frozen.
 
     ``(A, p)`` is the BS's contribution (``bs_contribution``) and ``Q_hat``
     the other BSs' signal/interference aggregate. Equals the global
     ``delta`` term up to quantities constant in the BS's beamformer; the
-    other BSs' distortion is one of those constants. O(K^2).
+    other BSs' distortion is one of those constants. O(K^2). A float for
+    one BS; (B, K, K) stacks of ``Q_hat`` and ``A`` and a (B, K) stack of
+    ``p`` give B values, bit for bit the per-BS calls.
     """
     aw = np.abs(zeta) ** 2
-    useful = (2.0 * np.sqrt(1.0 + mu) * (np.conj(zeta) * A.diagonal()).real).sum()
-    cross = (aw[:, None] * 2.0 * (np.conj(Q_hat) * A).real).sum()
-    own = (aw[:, None] * np.abs(A) ** 2).sum()
-    dist = (aw * p).sum()
-    return float(useful - dist - cross - own)
+    total = np.add.reduce  # the sums of ndarray.sum, without its wrapper
+    useful = total(2.0 * np.sqrt(1.0 + mu)
+                   * (np.conj(zeta) * A.diagonal(0, -2, -1)).real, axis=-1)
+    cross = total(aw[:, None] * 2.0 * (np.conj(Q_hat) * A).real, axis=(-2, -1))
+    own = total(aw[:, None] * np.abs(A) ** 2, axis=(-2, -1))
+    dist = total(aw * p, axis=-1)
+    val = useful - dist - cross - own
+    return val if val.ndim else float(val)

@@ -1,4 +1,4 @@
-"""Per-BS penalty-MM beamforming engine.
+"""Per-BS penalty-MM beamforming engine, with an optional leading lane axis.
 
 One BS improves its beamformer by alternating two exactly-solvable steps on
 the penalized local objective
@@ -21,15 +21,29 @@ Everything a visit needs from the surrounding network is carried by
 ``Workspace`` (channel, FP weights, interference backprojection) and the
 optional ``StarContext`` (consensus copy, dual, and its penalty).
 
+The engine moves one BS, or a group of BSs at once: every array may carry a
+leading lane axis, one lane per BS (``Workspace``, ``StarContext``,
+``Lift`` and ``LocalSolverState`` alike; a state's per-BS scalars ``eta``,
+``rho``, ``prev_residual`` and its counters are then arrays over the
+lanes). Star moves its B stations in one call; ring and central move one
+station per call, without the axis, because each visit there reads the one
+before. Each lane makes exactly the moves a call on its BS alone makes, bit
+for bit: the stacked matmul, ``eigh``, ``solve``, ``einsum``, ``vecdot`` and
+last-axis sums equal their per-BS forms on the per-BS memory layouts used
+here. What differs between lanes runs lane by lane: the secular Newton, the
+R-step's singular retry, the residual guard and the sweep's reject-and-retry,
+where a lane that is done leaves and the next attempt takes the lanes still
+trying (``take`` / ``put``).
+
 The R-step stationarity system is block-sparse: the gain chain only senses
 the diagonal entries of R's K diagonal blocks, and the (lagged) distortion
 chain only the diagonal blocks. Its diagonal part is 1 1^T kron M with one
 Nt x Nt block M, so ``update_R`` solves a single Nt x Nt system for the sum
 of the diagonal's K blocks and writes every other entry in closed form. R is
 kept in that structured form (``Lift``) and read only through it, so a visit
-costs O(Nt^3 + Nt^2 K) time and O(Nt^2 + Nt K) memory; the (Nt K)^2 dense
-reference (expansion, stationarity system, objective, lifting matrix) lives
-in ``tests/reference.py``.
+costs O(Nt^3 + Nt^2 K) time and O(Nt^2 + Nt K) memory per BS; the
+(Nt K)^2 dense reference (expansion, stationarity system, objective,
+lifting matrix) lives in ``tests/reference.py``.
 
 The penalty coefficient rho follows one fixed schedule. A BS starts at
 ``RHO_INIT``; a visit multiplies rho by ``RHO_GROWTH`` when its relative
@@ -42,6 +56,7 @@ for), by 10 for each rejected move and while the residual exceeds
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,12 +75,53 @@ PENALTY_RESID_TOL = 1e-3
 
 
 def vec(M: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(M).reshape(-1, order="F")
+    """Column-stacking vectorization of a matrix, or of each in a stack."""
+    M = np.asarray(M)
+    return M.mT.reshape(M.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v).reshape(rows, cols, order="F")
+    """Inverse of ``vec``: (..., rows * cols) to column-major (..., rows, cols)."""
+    v = np.asarray(v)
+    return v.reshape(v.shape[:-1] + (cols, rows)).mT
+
+
+def _flat(M: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack flattened in C order, as ``np.vdot`` reads it."""
+    return M.reshape(M.shape[:-2] + (-1,))
+
+
+def _norm_sq(x: np.ndarray):
+    """``np.linalg.norm(x) ** 2`` of a complex vector, or of each in a stack."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)) ** 2
+
+
+def _set_diagonal(M: np.ndarray, values) -> None:
+    """Write ``values`` on the diagonal of each matrix of the C-contiguous
+    ``M`` (through a strided view of its buffer)."""
+    M.reshape(M.shape[:-2] + (-1,))[..., ::M.shape[-1] + 1] = values
+
+
+def _lane_list(x) -> list:
+    """A per-BS scalar field as a list, one entry per lane (one for one BS)."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _lane_field(values: list, like):
+    """Per-lane ``values`` as a field shaped like ``like``: an array over the
+    lanes, or the scalar of one BS."""
+    return np.array(values) if isinstance(like, np.ndarray) else values[0]
+
+
+def _rows(x: np.ndarray) -> list:
+    """The per-lane vectors of ``x``: its rows, or ``x`` itself for one BS."""
+    return list(x) if x.ndim > 1 else [x]
+
+
+def _per_lane(x, core_ndim: int):
+    """A per-BS scalar field, broadcastable against arrays whose last
+    ``core_ndim`` axes follow the lane axis."""
+    return x[(...,) + (None,) * core_ndim] if isinstance(x, np.ndarray) else x
 
 
 @dataclass
@@ -76,48 +132,60 @@ class Workspace:
     the useful-signal term; ``chan_gram`` is H diag(|zeta|^2) H^H; ``interf``
     stacks e_j = sum_k |zeta_k|^2 Q_other[k, j] h_k; ``linear_coeff`` is the
     u with -delta_b's linear part equal to Re{u^H Gbar w}, read by every
-    R-step solve and R-step objective of the visit.
+    R-step solve and R-step objective of the visit. The FP weights are
+    shared by the lanes; every other array may have the lane axis first.
     """
 
-    H: np.ndarray            # (Nt, K)
+    H: np.ndarray            # ([L,] Nt, K)
     mu: np.ndarray           # (K,)
     zeta: np.ndarray         # (K,)
-    Q_other: np.ndarray      # (K, K) other-BS aggregate
+    Q_other: np.ndarray      # ([L,] K, K) other-BS aggregate
     Nt: int
     K: int
     useful_weight: np.ndarray = field(init=False)  # (K,)
-    chan_gram: np.ndarray = field(init=False)      # (Nt, Nt)
-    interf: np.ndarray = field(init=False)         # (Nt K,)
-    linear_coeff: np.ndarray = field(init=False)   # (Nt K,)
+    chan_gram: np.ndarray = field(init=False)      # ([L,] Nt, Nt)
+    interf: np.ndarray = field(init=False)         # ([L,] Nt K)
+    linear_coeff: np.ndarray = field(init=False)   # ([L,] Nt K)
+
+    LANE_FIELDS = ("H", "Q_other", "chan_gram", "interf", "linear_coeff")
 
     def __post_init__(self):
         h = vec(self.H)
         self.useful_weight = np.sqrt(1.0 + self.mu) * np.conj(self.zeta)
         aw = np.abs(self.zeta) ** 2
-        self.chan_gram = (self.H * aw[None, :]) @ self.H.conj().T
+        self.chan_gram = (self.H * aw) @ self.H.conj().mT
         # e_j = sum_k |zeta_k|^2 Q_other[k, j] h_k
         self.interf = vec(self.H @ (aw[:, None] * self.Q_other))
         e2h = np.repeat(np.conj(self.useful_weight), self.Nt) * h
         self.linear_coeff = 2.0 * (self.interf - e2h)
 
+    def take(self, lanes) -> "Workspace":
+        """The workspace of the lanes ``lanes`` (an index list)."""
+        sub = copy.copy(self)
+        for name in self.LANE_FIELDS:
+            setattr(sub, name, getattr(self, name)[lanes])
+        return sub
 
-def build_workspace(H_b: np.ndarray, fp: FpState, Nt: int, K: int,
+
+def build_workspace(H: np.ndarray, fp: FpState, Nt: int, K: int,
                     Q_other: np.ndarray | None = None) -> Workspace:
-    H_b = np.asarray(H_b)
-    if H_b.shape != (Nt, K):
-        raise ValueError(f"channel shape {H_b.shape} does not match ({Nt}, {K})")
+    """Workspace of one BS, H (Nt, K), or of a group, H (L, Nt, K)."""
+    H = np.asarray(H)
+    if H.ndim not in (2, 3) or H.shape[-2:] != (Nt, K):
+        raise ValueError(f"channel shape {H.shape} does not match ({Nt}, {K})")
     if Q_other is None:
-        Q_other = np.zeros((K, K), dtype=complex)
-    return Workspace(H=H_b, mu=fp.mu, zeta=fp.zeta,
+        Q_other = np.zeros(H.shape[:-2] + (K, K), dtype=complex)
+    return Workspace(H=H, mu=fp.mu, zeta=fp.zeta,
                      Q_other=np.asarray(Q_other, dtype=complex), Nt=Nt, K=K)
 
 
 @dataclass
 class StarContext:
-    """Consensus data a BS receives in the star topology."""
+    """Consensus data a BS, or each lane of a group, receives in the star
+    topology."""
 
-    Q_C: np.ndarray      # (K, K) global copy for this BS
-    lam: np.ndarray      # (K^2,) dual
+    Q_C: np.ndarray      # ([L,] K, K) global copy
+    lam: np.ndarray      # ([L,] K^2) dual
     varrho: float
 
     @property
@@ -125,11 +193,15 @@ class StarContext:
         """vec(Q_C) + lambda / varrho, the consensus anchor."""
         return vec(self.Q_C) + np.asarray(self.lam) / self.varrho
 
+    def take(self, lanes) -> "StarContext":
+        return StarContext(Q_C=self.Q_C[lanes], lam=self.lam[lanes],
+                           varrho=self.varrho)
+
 
 def _off_diagonal(E: np.ndarray) -> np.ndarray:
     """E with its diagonal set to zero."""
     E = E.copy()
-    np.fill_diagonal(E, 0.0)
+    _set_diagonal(E, 0.0)
     return E
 
 
@@ -139,10 +211,11 @@ class Lift:
 
     This is the form of the R-step's exact minimizer: u is the beamformer the
     step was solved at, E = (|beta3|^2 / rho) conj(V3), and d is the solved
-    diagonal; the tight lift w w^H is ``rank_one(w)``. The solver reads R
-    only through the methods below, each O(Nt^2 K), so the (Nt K)^2 matrix
-    is never formed (``expand`` in ``tests/reference.py`` builds it).
-    E's own diagonal is not part of R and is never read.
+    diagonal; the tight lift w w^H is ``rank_one(w)``. The arrays may carry
+    a leading lane axis. The solver reads R only through the methods below,
+    each O(Nt^2 K), so the (Nt K)^2 matrix is never formed (``expand`` in
+    ``tests/reference.py`` builds it). E's own diagonal is not part of R and
+    is never read.
 
     R is an unconstrained complex matrix. With a complex beta3 the solved
     diagonal d is complex, so R is not Hermitian (``hermitian_deviation``
@@ -155,26 +228,31 @@ class Lift:
     asks for, since a state's w is its lift's u.
     """
 
-    u: np.ndarray   # (Nt K,)
-    E: np.ndarray   # (Nt, Nt)
-    d: np.ndarray   # (Nt K,)
+    u: np.ndarray   # ([L,] Nt K)
+    E: np.ndarray   # ([L,] Nt, Nt)
+    d: np.ndarray   # ([L,] Nt K)
 
     @classmethod
     def rank_one(cls, w: np.ndarray, Nt: int) -> "Lift":
         """The tight lift R = w w^H."""
-        return cls(u=w, E=np.zeros((Nt, Nt), dtype=complex), d=w * w.conj())
+        return cls(u=w, E=np.zeros(w.shape[:-1] + (Nt, Nt), dtype=complex),
+                   d=w * w.conj())
 
     @property
     def Nt(self) -> int:
-        return self.E.shape[0]
+        return self.E.shape[-1]
 
     @property
     def K(self) -> int:
-        return self.u.size // self.E.shape[0]
+        return self.u.shape[-1] // self.E.shape[-1]
+
+    def take(self, lanes, u: np.ndarray) -> "Lift":
+        """The lift of the lanes ``lanes``, solved at ``u`` (their u)."""
+        return Lift(u=u, E=self.E[lanes], d=self.d[lanes])
 
     def diag_sum(self) -> np.ndarray:
-        """Sum of the diagonals of R's K diagonal blocks, shape (Nt,)."""
-        return self.d.reshape(-1, self.Nt).sum(axis=0)
+        """Sum of the diagonals of R's K diagonal blocks, shape ([L,] Nt)."""
+        return self.d.reshape(self.d.shape[:-1] + (-1, self.Nt)).sum(axis=-2)
 
     def block_sum(self) -> np.ndarray:
         """F, the sum of R's K diagonal Nt x Nt blocks (read-only)."""
@@ -183,8 +261,8 @@ class Lift:
     @cached_property
     def _block_sum(self) -> np.ndarray:
         U = unvec(self.u, self.Nt, self.K)
-        F = U @ U.conj().T - self.K * self.E
-        np.fill_diagonal(F, self.diag_sum())
+        F = U @ U.conj().mT - self.K * self.E
+        _set_diagonal(F, self.diag_sum())
         F.flags.writeable = False
         return F
 
@@ -192,68 +270,133 @@ class Lift:
         """R^H w."""
         Eo = _off_diagonal(self.E)
         Wm = unvec(w, self.Nt, self.K)
-        x = self.u * np.vdot(self.u, w) - vec(Eo.conj().T @ Wm)
+        x = (self.u * np.vecdot(self.u, w)[..., None]
+             - vec(Eo.conj().mT @ Wm))
         return x + (self.d.conj() - self.u * self.u.conj()) * w
 
-    def distance_sq(self, w: np.ndarray) -> float:
+    def distance_sq(self, w: np.ndarray):
         """||R - w w^H||_F^2; ||R||_F^2 at w = 0."""
         if w is self.u:
             return self._tight_distance_sq
         return self._distance_sq(w)
 
     @cached_property
-    def _tight_distance_sq(self) -> float:
+    def _tight_distance_sq(self):
         return self._distance_sq(self.u)
 
-    def _distance_sq(self, w: np.ndarray) -> float:
-        Nt, K = self.Nt, self.K
+    def _distance_sq(self, w: np.ndarray):
         Eo = _off_diagonal(self.E)
-        off = K * np.vdot(Eo, Eo).real          # off-diagonal of I_K kron E
-        delta = self.u - w
-        if delta.any():
-            # u u^H - w w^H = L = w delta^H + delta u^H: add ||L||^2 and
-            # -2 Re <L, I_K kron Eo>, less L's diagonal
-            U, D = unvec(self.u, Nt, K), unvec(delta, Nt, K)
-            nd = np.vdot(delta, delta).real
-            L_sq = (nd * (np.vdot(w, w).real + np.vdot(self.u, self.u).real)
-                    + 2.0 * np.real(np.vdot(w, delta) * np.vdot(self.u, delta)))
-            cross = np.vdot(unvec(w, Nt, K), Eo @ D) + np.vdot(D, Eo @ U)
-            L_diag = w * delta.conj() + delta * self.u.conj()
-            off += L_sq - 2.0 * cross.real - np.vdot(L_diag, L_diag).real
+        # the off-diagonal of I_K kron E
+        off = self.K * np.vecdot(_flat(Eo), _flat(Eo)).real
+        if w is not self.u:
+            off = self._off_moved(off, w, Eo)
         dd = self.d - w * w.conj()
-        return float(max(off, 0.0) + np.vdot(dd, dd).real)
+        return np.maximum(off, 0.0) + np.vecdot(dd, dd).real
 
-    def skew_sq(self) -> float:
+    def _off_moved(self, off, w: np.ndarray, Eo: np.ndarray):
+        """The off-diagonal part ``off`` of ||R - u u^H||^2 moved to w.
+
+        u u^H - w w^H = L = w delta^H + delta u^H: add ||L||^2 and
+        -2 Re <L, I_K kron Eo>, less L's diagonal, in the lanes where w
+        differs from u.
+        """
+        Nt, K = self.Nt, self.K
+        delta = self.u - w
+        moved = delta.any(axis=-1)
+        if not moved.any():
+            return off
+        U, D = unvec(self.u, Nt, K), unvec(delta, Nt, K)
+        nd = np.vecdot(delta, delta).real
+        L_sq = (nd * (np.vecdot(w, w).real + np.vecdot(self.u, self.u).real)
+                + 2.0 * np.real(np.vecdot(w, delta) * np.vecdot(self.u, delta)))
+        cross = (np.vecdot(_flat(unvec(w, Nt, K)), _flat(Eo @ D))
+                 + np.vecdot(_flat(D), _flat(Eo @ U)))
+        L_diag = w * delta.conj() + delta * self.u.conj()
+        moved_off = off + (L_sq - 2.0 * cross.real
+                           - np.vecdot(L_diag, L_diag).real)
+        return moved_off if moved.all() else np.where(moved, moved_off, off)
+
+    def skew_sq(self):
         """||R - R^H||_F^2; the u u^H part is Hermitian and drops out."""
         Eo = _off_diagonal(self.E)
-        S = Eo - Eo.conj().T
-        return float(self.K * np.vdot(S, S).real + 4.0 * np.sum(self.d.imag ** 2))
+        S = _flat(Eo - Eo.conj().mT)
+        return (self.K * np.vecdot(S, S).real
+                + 4.0 * np.sum(self.d.imag ** 2, axis=-1))
+
+
+_LANE_SCALARS = (("eta", float), ("rho", float), ("prev_residual", float),
+                 ("ridge_fallbacks", int), ("rejected_sweeps", int))
 
 
 @dataclass
 class LocalSolverState:
-    """Mutable per-BS optimization state."""
+    """Mutable optimization state of one BS, or of a group with a lane axis.
 
-    w: np.ndarray            # (Nt K,)
+    ``prev_residual`` is NaN until a sweep sets it. For a group, ``eta``,
+    ``rho``, ``prev_residual``, ``ridge_fallbacks`` and ``rejected_sweeps``
+    are arrays with one entry per lane (a scalar given at construction is
+    broadcast); for one BS they are scalars. The arrays are replaced, never
+    written in place, so a snapshot of them stays valid.
+    """
+
+    w: np.ndarray            # ([L,] Nt K)
     R: Lift
-    F_abs_sq: np.ndarray     # (Nt, Nt) lagged |F|^2 factor
+    F_abs_sq: np.ndarray     # ([L,] Nt, Nt) lagged |F|^2 factor
     eta: float = 0.0
     rho: float = RHO_INIT
-    prev_residual: float | None = None
+    prev_residual: float = np.nan
     ridge_fallbacks: int = 0
     rejected_sweeps: int = 0
 
+    LANE_FIELDS = ("w", "F_abs_sq") + tuple(name for name, _ in _LANE_SCALARS)
+
+    def __post_init__(self):
+        lanes = self.w.shape[:-1]
+        for name, kind in _LANE_SCALARS:
+            value = getattr(self, name)
+            setattr(self, name, np.broadcast_to(np.asarray(value, dtype=kind),
+                                                lanes).copy()
+                    if lanes else kind(value))
+
+    @property
+    def lanes(self) -> int:
+        """Number of BSs moved together (1 without a lane axis)."""
+        return self.w.shape[0] if self.w.ndim > 1 else 1
+
     @property
     def W(self) -> np.ndarray:
-        Nt = self.F_abs_sq.shape[0]
-        return unvec(self.w, Nt, self.w.size // Nt)
+        Nt = self.F_abs_sq.shape[-1]
+        return unvec(self.w, Nt, self.w.shape[-1] // Nt)
+
+    def take(self, lanes) -> "LocalSolverState":
+        """The state of the lanes ``lanes`` (an index list), as a new state.
+
+        The lanes' lift must be solved at their beamformer (R.u equal to w),
+        which holds between the steps of a sweep.
+        """
+        sub = copy.copy(self)
+        for name in self.LANE_FIELDS:
+            setattr(sub, name, getattr(self, name)[lanes])
+        sub.R = self.R.take(lanes, sub.w)
+        return sub
+
+    def put(self, lanes, sub: "LocalSolverState") -> None:
+        """Write the lanes of ``sub`` (a ``take`` of ``lanes``) back."""
+        for name in self.LANE_FIELDS:
+            merged = getattr(self, name).copy()
+            merged[lanes] = getattr(sub, name)
+            setattr(self, name, merged)
+        E, d = self.R.E.copy(), self.R.d.copy()
+        E[lanes], d[lanes] = sub.R.E, sub.R.d
+        self.R = Lift(u=self.w, E=E, d=d)
 
 
-def state_from_beamformer(W0_b: np.ndarray,
+def state_from_beamformer(W0: np.ndarray,
                           rho: float = RHO_INIT) -> LocalSolverState:
-    W0_b = np.asarray(W0_b)
-    w0 = vec(W0_b)
-    R0 = Lift.rank_one(w0, W0_b.shape[0])
+    """Tight-lift state of W0, (Nt, K) for one BS or (L, Nt, K) for a group."""
+    W0 = np.asarray(W0)
+    w0 = vec(W0)
+    R0 = Lift.rank_one(w0, W0.shape[-2])
     return LocalSolverState(w=w0, R=R0, F_abs_sq=lagged_factor(R0), rho=rho)
 
 
@@ -270,7 +413,7 @@ def lagged_factor(R: Lift) -> np.ndarray:
 def _star_anchor_residual(star: StarContext, ws: Workspace, W: np.ndarray,
                           pa: PaModel) -> np.ndarray:
     """target - beta1 * vec(H^H W): the R-independent part of the AL residual."""
-    return star.target - pa.beta1 * vec(ws.H.conj().T @ W)
+    return star.target - pa.beta1 * vec(ws.H.conj().mT @ W)
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +432,18 @@ def w_subproblem_terms(state: LocalSolverState, ws: Workspace, pa: PaModel,
     the backoff behavior distortion-aware designs rely on.
     """
     g = gain_diag_from_R(state.R, pa)
-    Gh = np.conj(g)
-    A = (Gh[:, None] * ws.chan_gram) * g[None, :]
+    Gh = np.conj(g)[..., :, None]
+    A = (Gh * ws.chan_gram) * g[..., None, :]
     E = unvec(ws.interf, ws.Nt, ws.K)
-    C_blocks = Gh[:, None] * (E - ws.useful_weight.conj()[None, :] * ws.H)
-    C_blocks = C_blocks - 2.0 * state.rho * unvec(
+    C_blocks = Gh * (E - ws.useful_weight.conj() * ws.H)
+    C_blocks = C_blocks - 2.0 * _per_lane(state.rho, 2) * unvec(
         state.R.rmatvec(state.w), ws.Nt, ws.K
     )
     if star is not None:
-        A = A + 0.5 * star.varrho * (Gh[:, None] * (ws.H @ ws.H.conj().T)) * g[None, :]
+        HHh = ws.H @ ws.H.conj().mT
+        A = A + 0.5 * star.varrho * (Gh * HHh) * g[..., None, :]
         V = unvec(star.target, ws.K, ws.K)
-        C_blocks = C_blocks - 0.5 * star.varrho * Gh[:, None] * (ws.H @ V)
+        C_blocks = C_blocks - 0.5 * star.varrho * Gh * (ws.H @ V)
     return A, C_blocks
 
 
@@ -339,7 +483,48 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
     t = 2 rho ||w||^2 + eta. In A's eigenbasis (eigenvalues d_i after the
     roundoff ridge, a_i = sum_k |(U^H c_k)_i|^2) the power of w(t) is the
     secular function p(t) = sum_i a_i / (d_i + t)^2, decreasing in t, and
-    each evaluation costs O(Nt). Two scalar equations fix t:
+    each evaluation costs O(Nt). The eigendecompositions are stacked over
+    the lanes; each lane then finds its own multiplier (``_multiplier``).
+    """
+    A, C_blocks = w_subproblem_terms(state, ws, pa, star)
+    lam, U = np.linalg.eigh(0.5 * (A + A.conj().mT))
+    proj = U.conj().mT @ C_blocks  # ([L,] Nt, K)
+    a = np.sum(np.abs(proj) ** 2, axis=-1)
+    cum = np.cumsum(a, axis=-1)           # weight of the i+1 smallest d
+    shift, eta, fallbacks, zero = [], [], [], []
+    for i, (lam_i, a_i, cum_i, rho_i) in enumerate(zip(
+            _rows(lam), _rows(a), _rows(cum), _lane_list(state.rho))):
+        ridge = 0.0
+        fallbacks.append(0)
+        if lam_i[0] < 0.0:
+            # chan_gram is PSD; negative eigenvalues are roundoff
+            ridge = -float(lam_i[0])
+            if lam_i[0] < -1e-12 * max(1.0, float(abs(lam_i[-1]))):
+                fallbacks[i] = 1
+        d_i = lam_i + ridge                # d_i[0] >= 0
+        if cum_i[-1] == 0.0:
+            zero.append(i)
+            t_i, eta_i = 1.0, 0.0          # no data: w is set to zero below
+        else:
+            t_i, eta_i = _multiplier(d_i, a_i, cum_i, rho_i, Pt)
+        shift.append(d_i + t_i)
+        eta.append(eta_i)
+    if any(fallbacks):
+        state.ridge_fallbacks = state.ridge_fallbacks + _lane_field(
+            fallbacks, state.ridge_fallbacks)
+    state.eta = _lane_field(eta, state.eta)
+    shift = np.array(shift) if lam.ndim > 1 else shift[0]   # d + t
+    w = vec(U @ (-(proj / shift[..., None])))
+    if zero:
+        w.reshape(-1, w.shape[-1])[zero] = 0.0
+    state.w = w
+    return state.w
+
+
+def _multiplier(d, a, cum, rho: float, Pt: float):
+    """(t, eta) of one lane's w-step from its eigen-data; see ``update_w``.
+
+    Two scalar equations fix t:
 
       * interior (eta = 0): the fixed point t = 2 rho p(t), solved as
         1/sqrt(p(t)) - sqrt(2 rho / t) = 0;
@@ -352,26 +537,6 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
     Newton approaches the active root from the infeasible side; a final
     correction step past the root returns a t with p(t) <= Pt.
     """
-    A, C_blocks = w_subproblem_terms(state, ws, pa, star)
-    lam, U = np.linalg.eigh(0.5 * (A + A.conj().T))
-    proj = U.conj().T @ C_blocks  # (Nt, K)
-    rho = state.rho
-
-    ridge = 0.0
-    if lam[0] < 0.0:
-        # chan_gram is PSD; negative eigenvalues are roundoff
-        ridge = -float(lam[0])
-        if lam[0] < -1e-12 * max(1.0, float(abs(lam[-1]))):
-            state.ridge_fallbacks += 1
-
-    d = lam + ridge                       # d[0] >= 0
-    a = np.sum(np.abs(proj) ** 2, axis=1)
-    cum = np.cumsum(a)                    # weight of the i+1 smallest d
-    if cum[-1] == 0.0:
-        state.eta = 0.0
-        state.w = np.zeros_like(state.w)
-        return state.w
-
     def secular(t: float):
         """p(t) = ||w(t)||^2 and q(t) = -p'(t) / 2."""
         inv = 1.0 / (d + t)
@@ -390,44 +555,39 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
         lo = float(np.max(np.fmin(np.cbrt(x), x / d ** 2)))
         hi = float(np.fmin(np.cbrt(4.0 * x[-1]), 4.0 * x[-1] / d[0] ** 2))
     t_int, _, _, _ = _secular_newton(interior, lo, hi, lo)
-
     if secular(t_int)[0] <= Pt:
-        eta = 0.0
-        t_star = t_int
-    else:
-        # power constraint active: ||w||^2 = Pt, t = 2 rho Pt + eta
-        base = 2.0 * rho * Pt
-        s_pt = 1.0 / np.sqrt(Pt)
+        return t_int, 0.0
 
-        def active(t: float):
-            p, q = secular(t)
-            s = 1.0 / np.sqrt(p)
-            return s - s_pt, s * q / p, s, p > Pt
+    # power constraint active: ||w||^2 = Pt, t = 2 rho Pt + eta
+    base = 2.0 * rho * Pt
+    s_pt = 1.0 / np.sqrt(Pt)
 
-        lo = max(base, t_int, float(np.max(np.sqrt(cum / Pt) - d)))
-        hi = max(lo, float(np.sqrt(cum[-1] / Pt) - d[0]))
-        while secular(hi)[0] > Pt:
-            hi *= 2.0
-        t_star, step, left, hi = _secular_newton(active, lo, hi, lo)
-        if left:
-            # Newton stopped just short of the root: step past it, doubling
-            # the step until feasible (hi is feasible, so this ends)
-            t_root, delta = t_star, max(abs(step), np.spacing(t_star))
+    def active(t: float):
+        p, q = secular(t)
+        s = 1.0 / np.sqrt(p)
+        return s - s_pt, s * q / p, s, p > Pt
+
+    lo = max(base, t_int, float(np.max(np.sqrt(cum / Pt) - d)))
+    hi = max(lo, float(np.sqrt(cum[-1] / Pt) - d[0]))
+    while secular(hi)[0] > Pt:
+        hi *= 2.0
+    t_star, step, left, hi = _secular_newton(active, lo, hi, lo)
+    if left:
+        # Newton stopped just short of the root: step past it, doubling
+        # the step until feasible (hi is feasible, so this ends)
+        t_root, delta = t_star, max(abs(step), np.spacing(t_star))
+        t_star = min(t_root + delta, hi)
+        while secular(t_star)[0] > Pt:
+            delta *= 2.0
             t_star = min(t_root + delta, hi)
-            while secular(t_star)[0] > Pt:
-                delta *= 2.0
-                t_star = min(t_root + delta, hi)
-        eta = max(t_star - base, 0.0)
-    state.eta = eta
-    state.w = vec(U @ (-(proj / (d + t_star)[:, None])))
-    return state.w
+    return t_star, max(t_star - base, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # R-step
 # ---------------------------------------------------------------------------
 
-def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
+def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho,
                     F_abs_sq: np.ndarray, star: StarContext | None = None):
     """Reduced stationarity data of the R-step.
 
@@ -439,26 +599,50 @@ def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
     """
     Nt, K = ws.Nt, ws.K
     Wm = unvec(w, Nt, K)
-    S = Wm @ Wm.conj().T
+    S = Wm @ Wm.conj().mT
     b3 = pa.beta3
-    P = ws.chan_gram.T * S
+    P = ws.chan_gram.mT * S
     M = 4.0 * np.abs(b3) ** 2 * P
 
     c1 = 2.0 * np.conj(pa.beta1) * b3 * (P @ np.ones(Nt))
     u = ws.linear_coeff
-    c2 = b3 * (np.conj(u) * w).reshape(K, Nt).sum(axis=0)
-    V3 = np.asarray(F_abs_sq) * ws.chan_gram.T
-    c3 = np.abs(b3) ** 2 * np.diag(V3)
+    c2 = b3 * (np.conj(u) * w).reshape(w.shape[:-1] + (K, Nt)).sum(axis=-2)
+    V3 = np.asarray(F_abs_sq) * ws.chan_gram.mT
+    c3 = np.abs(b3) ** 2 * V3.diagonal(0, -2, -1)
     c_block = c1 + c2 + c3
     if star is not None:
         r = _star_anchor_residual(star, ws, Wm, pa)
         Rm = unvec(r, K, K)
-        xi_gram_t = (ws.H @ ws.H.conj().T).conj() * S
+        HHh = ws.H @ ws.H.conj().mT
+        xi_gram_t = HHh.conj() * S
         M = M + 2.0 * star.varrho * np.abs(b3) ** 2 * xi_gram_t
-        xi_r = np.einsum("nk,kj,nj->n", ws.H.conj(), Rm.conj(), Wm)
+        xi_r = np.einsum("...nk,...kj,...nj->...n", ws.H.conj(), Rm.conj(), Wm)
         c_block = c_block - star.varrho * b3 * xi_r
-    c = c_block - rho * np.abs(Wm.T) ** 2
+    c = c_block[..., None, :] - _per_lane(rho, 2) * np.abs(Wm.mT) ** 2
     return M, c, V3
+
+
+def _r_diagonal(M: np.ndarray, c: np.ndarray, rho, K: int) -> np.ndarray:
+    """R's diagonal blocks r ([L,] K, Nt) from the reduced system; NaN where
+    a system is singular.
+
+    A stacked solve raises when any lane is singular; the lanes are then
+    solved one at a time, so one singular lane spoils only its own result.
+    """
+    rho = _per_lane(rho, 2)
+    lhs = K * M + rho * np.eye(M.shape[-1])
+    rhs = -c.sum(axis=-2)
+    try:
+        s = (np.linalg.solve(lhs, rhs) if rhs.ndim == 1 else
+             np.linalg.solve(lhs, rhs[..., None])[..., 0])
+    except np.linalg.LinAlgError:
+        s = np.full(rhs.shape, np.nan, dtype=complex)
+        for lane in np.ndindex(rhs.shape[:-1]):
+            try:
+                s[lane] = np.linalg.solve(lhs[lane], rhs[lane])
+            except np.linalg.LinAlgError:
+                pass
+    return -(c + np.matvec(M, s)[..., None, :]) / rho
 
 
 def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
@@ -471,58 +655,73 @@ def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
     R = w w^H - (|beta3|^2 / rho)(I_K kron conj(V3)); the result is the
     ``Lift`` (w, (|beta3|^2 / rho) conj(V3), conj(r)).
 
-    A numerically singular system bumps rho by 10x and retries once before
-    aborting with diagnostics.
+    A numerically singular system bumps its lane's rho by 10x and retries
+    once before aborting with diagnostics.
     """
-    Nt = ws.Nt
-    for attempt in range(2):
-        rho = state.rho
-        M, c, V3 = _r_system_parts(state.w, ws, pa, rho, state.F_abs_sq, star)
-        try:
-            s = np.linalg.solve(ws.K * M + rho * np.eye(Nt), -c.sum(axis=0))
-        except np.linalg.LinAlgError:
-            s = np.full(Nt, np.nan)
-        r = -(c + M @ s) / rho
-        if np.all(np.isfinite(r)):
-            E = (np.abs(pa.beta3) ** 2 / rho) * np.conj(V3)
-            state.R = Lift(u=state.w, E=E, d=np.conj(r.reshape(-1)))
-            return state.R
-        if attempt == 0:
-            state.rho *= 10.0
-    raise RuntimeError(
-        "R-step system singular after penalty bump "
-        f"(rho={state.rho:g}, |w|^2={np.linalg.norm(state.w) ** 2:g})"
-    )
+    K, NtK = ws.K, state.w.shape[-1]
+    M, c, V3 = _r_system_parts(state.w, ws, pa, state.rho, state.F_abs_sq, star)
+    r = _r_diagonal(M, c, state.rho, K)
+    if not np.isfinite(r).all():
+        finite = np.isfinite(r.reshape(-1, NtK)).all(axis=-1)
+        bad = [i for i, ok in enumerate(finite.tolist()) if not ok]
+        rho = _lane_list(state.rho)
+        for i in bad:
+            rho[i] *= 10.0
+        state.rho = _lane_field(rho, state.rho)
+        if len(bad) == state.lanes:
+            M, c, V3 = _r_system_parts(state.w, ws, pa, state.rho,
+                                       state.F_abs_sq, star)
+            r = _r_diagonal(M, c, state.rho, K)
+        else:
+            M_bad, c_bad, V3_bad = _r_system_parts(
+                state.w[bad], ws.take(bad), pa, state.rho[bad],
+                state.F_abs_sq[bad], None if star is None else star.take(bad))
+            r, V3 = r.copy(), V3.copy()
+            r[bad] = _r_diagonal(M_bad, c_bad, state.rho[bad], K)
+            V3[bad] = V3_bad
+        finite = np.isfinite(r.reshape(-1, NtK)).all(axis=-1)
+        if not finite.all():
+            lane = int(np.argmin(finite))
+            w_lane = state.w.reshape(-1, NtK)[lane]
+            raise RuntimeError(
+                "R-step system singular after penalty bump "
+                f"(rho={_lane_list(state.rho)[lane]:g}, "
+                f"|w|^2={np.linalg.norm(w_lane) ** 2:g})"
+            )
+    E = np.abs(pa.beta3) ** 2 / _per_lane(state.rho, 2) * np.conj(V3)
+    state.R = Lift(u=state.w, E=E, d=np.conj(r.reshape(r.shape[:-2] + (-1,))))
+    return state.R
 
 
 # ---------------------------------------------------------------------------
 # objectives
 # ---------------------------------------------------------------------------
 
-def r_objective(w: np.ndarray, g: np.ndarray, F: np.ndarray, resid_sq: float,
-                ws: Workspace, pa: PaModel, rho: float, F_abs_sq: np.ndarray,
-                star: StarContext | None = None) -> float:
+def r_objective(w: np.ndarray, g: np.ndarray, F: np.ndarray, resid_sq,
+                ws: Workspace, pa: PaModel, rho, F_abs_sq: np.ndarray,
+                star: StarContext | None = None):
     """R-step objective from what it reads of R.
 
     ``g`` is the gain diagonal G(R), ``F`` the block sum of R and
     ``resid_sq`` the penalty ||R - w w^H||_F^2; ``F_abs_sq`` is the lag.
     """
     Wm = unvec(w, ws.Nt, ws.K)
-    GW = g[:, None] * Wm
-    f1 = float(np.real(np.einsum("nj,nm,mj->", GW.conj(), ws.chan_gram, GW)))
+    GW = g[..., :, None] * Wm
+    f1 = np.real(np.einsum("...nj,...nm,...mj->...", GW.conj(), ws.chan_gram, GW))
     u = unvec(ws.linear_coeff, ws.Nt, ws.K)
-    f2 = float(np.real(np.sum(u.conj() * GW)))
-    V3 = np.asarray(F_abs_sq) * ws.chan_gram.T
-    f3 = float(2.0 * np.abs(pa.beta3) ** 2 * np.real(np.sum(F * V3)))
+    f2 = np.real(np.add.reduce(u.conj() * GW, axis=(-2, -1)))
+    V3 = np.asarray(F_abs_sq) * ws.chan_gram.mT
+    f3 = 2.0 * np.abs(pa.beta3) ** 2 * np.real(
+        np.add.reduce(F * V3, axis=(-2, -1)))
     total = f1 + f2 + f3 + rho * resid_sq
     if star is not None:
-        m = vec(ws.H.conj().T @ GW)
-        total += float(0.5 * star.varrho * np.linalg.norm(star.target - m) ** 2)
+        m = vec(ws.H.conj().mT @ GW)
+        total = total + 0.5 * star.varrho * _norm_sq(star.target - m)
     return total
 
 
 def local_penalized_objective(state: LocalSolverState, ws: Workspace,
-                              pa: PaModel, star: StarContext | None = None) -> float:
+                              pa: PaModel, star: StarContext | None = None):
     """-delta_b + rho ||R - w w^H||^2 (+ consensus AL), distortion exact in R."""
     R = state.R
     F = R.block_sum()
@@ -532,7 +731,7 @@ def local_penalized_objective(state: LocalSolverState, ws: Workspace,
 
 
 def true_local_objective(contribution, ws: Workspace,
-                         star: StarContext | None = None) -> float:
+                         star: StarContext | None = None):
     """-delta_b at a contribution (plus consensus AL), in O(K^2).
 
     ``contribution`` is ``fp_core.bs_contribution`` (A, p) at the
@@ -543,25 +742,59 @@ def true_local_objective(contribution, ws: Workspace,
     A, p = contribution
     val = -fp_core.local_objective(ws.Q_other, A, p, ws.mu, ws.zeta)
     if star is not None:
-        val += 0.5 * star.varrho * float(np.linalg.norm(star.target - vec(A)) ** 2)
-    return float(val)
+        val = val + 0.5 * star.varrho * _norm_sq(star.target - vec(A))
+    return val
 
 
-def penalty_residual(state: LocalSolverState) -> float:
+def penalty_residual(state: LocalSolverState):
     """||R - w w^H||_F / ||w w^H||_F."""
-    denom = max(float(np.vdot(state.w, state.w).real), 1e-300)
-    return float(np.sqrt(state.R.distance_sq(state.w)) / denom)
+    denom = np.maximum(np.vecdot(state.w, state.w).real, 1e-300)
+    return np.sqrt(state.R.distance_sq(state.w)) / denom
 
 
-def hermitian_deviation(R: Lift) -> float:
+def hermitian_deviation(R: Lift):
     """||R - R^H||_F / ||R||_F."""
-    denom = max(np.sqrt(R.distance_sq(np.zeros_like(R.u))), 1e-300)
-    return float(np.sqrt(R.skew_sq()) / denom)
+    denom = np.maximum(np.sqrt(R.distance_sq(np.zeros_like(R.u))), 1e-300)
+    return np.sqrt(R.skew_sq()) / denom
 
 
 # ---------------------------------------------------------------------------
 # one visit
 # ---------------------------------------------------------------------------
+
+def _lanes(state: LocalSolverState, ws: Workspace, star: StarContext | None,
+           lanes: list):
+    """(state, ws, star) restricted to ``lanes``; the objects themselves
+    when that is every lane."""
+    if len(lanes) == state.lanes:
+        return state, ws, star
+    return (state.take(lanes), ws.take(lanes),
+            None if star is None else star.take(lanes))
+
+
+def _guard(state: LocalSolverState, ws: Workspace, pa: PaModel,
+           star: StarContext | None) -> None:
+    """Trust-region guard: stiffen and re-solve R while a lane's residual
+    exceeds ``RESIDUAL_GUARD`` and its rho is below the cap.
+
+    The lagged distortion model is only valid near w w^H, and a runaway R
+    feeds back through the lag into divergence. Each round re-solves the
+    lanes still guarded in one ``update_R`` call.
+    """
+    guarded, sub = list(range(state.lanes)), state
+    while True:
+        resid, rho = _lane_list(penalty_residual(sub)), _lane_list(sub.rho)
+        if sub is not state:
+            state.put(guarded, sub)
+        guarded = [i for i, r, rh in zip(guarded, resid, rho)
+                   if r > RESIDUAL_GUARD and rh < RHO_CAP]
+        if not guarded:
+            return
+        sub, sub_ws, sub_star = _lanes(state, ws, star, guarded)
+        sub.rho = _lane_field([min(rh * 10.0, RHO_CAP)
+                               for rh in _lane_list(sub.rho)], sub.rho)
+        update_R(sub, sub_ws, pa, sub_star)
+
 
 def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
           star: StarContext | None = None, contribution=None):
@@ -574,53 +807,88 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
     drop by ``RHO_DROP_TARGET``; the residual is left in
     ``state.prev_residual``.
 
-    ``contribution`` is the BS's (Q_b, p_b) at the entry beamformer, as
+    The lanes of a group attempt their moves together: each attempt is one
+    ``update_w`` call and one stacked contribution over the lanes still
+    trying. A lane leaves when its move is accepted or when it is rejected
+    at ``RHO_CAP``. The accept test and the rho schedule are scalar steps,
+    taken lane by lane.
+
+    ``contribution`` is the (Q_b, p_b) at the entry beamformer, as
     ``fp_core.bs_contribution(ws.H, state.W, pa)`` returns it (computed here
-    when not given); each attempted move builds one more, and the
-    contribution at the exit beamformer is returned.
+    when not given); each attempted move builds one more. The contribution
+    at the exit beamformer is returned: the input itself when nothing moved.
     """
     if contribution is None:
         contribution = fp_core.bs_contribution(ws.H, state.W, pa)
-    obj_before = true_local_objective(contribution, ws, star)
-    w_entry, eta_entry = state.w, state.eta
-    accepted = False
-    while True:
-        update_w(state, ws, pa, Pt, star)
-        state.F_abs_sq = lagged_factor(state.R)
-        update_R(state, ws, pa, star)
-        resid = penalty_residual(state)
-        # trust-region guard: the lagged distortion model is only valid
-        # near w w^H, and a runaway R feeds back through the lag into
-        # divergence
-        while resid > RESIDUAL_GUARD and state.rho < RHO_CAP:
-            state.rho = min(state.rho * 10.0, RHO_CAP)
-            update_R(state, ws, pa, star)
-            resid = penalty_residual(state)
-        moved = fp_core.bs_contribution(ws.H, state.W, pa)
-        obj_after = true_local_objective(moved, ws, star)
-        if obj_after <= obj_before + 1e-10 * max(1.0, abs(obj_before)):
-            accepted = True
-            contribution = moved
-            break
-        # worsening move: retract the beamformer, re-consolidate the
-        # lift onto it (a stale loose R would bias the next step toward
-        # its own direction, the harder the stiffer the penalty), then
-        # retry with a stiffer penalty
-        state.w, state.eta = w_entry, eta_entry
-        state.R = Lift.rank_one(state.w, ws.Nt)
-        state.F_abs_sq = lagged_factor(state.R)
-        state.rejected_sweeps += 1
-        if state.rho >= RHO_CAP:
-            break
-        state.rho = min(state.rho * 10.0, RHO_CAP)
+    bound = [obj + 1e-10 * max(1.0, abs(obj)) for obj in
+             _lane_list(true_local_objective(contribution, ws, star))]
+    entry = (state.w, state.eta)
+    accepted = [False] * state.lanes
+    out = contribution
+    trying = list(range(state.lanes))
+    while trying:
+        cur, cur_ws, cur_star = _lanes(state, ws, star, trying)
+        update_w(cur, cur_ws, pa, Pt, cur_star)
+        cur.F_abs_sq = lagged_factor(cur.R)
+        update_R(cur, cur_ws, pa, cur_star)
+        _guard(cur, cur_ws, pa, cur_star)
+        moved = fp_core.bs_contribution(cur_ws.H, cur.W, pa)
+        ok = [obj <= bound[i] for i, obj in zip(
+            trying, _lane_list(true_local_objective(moved, cur_ws, cur_star)))]
+        won = [i for i, k in zip(trying, ok) if k]
+        if len(won) == state.lanes:
+            out = moved
+        elif won:
+            if out is contribution:
+                out = (contribution[0].copy(), contribution[1].copy())
+            out[0][won], out[1][won] = moved[0][ok], moved[1][ok]
+        for i in won:
+            accepted[i] = True
+        if len(won) < len(trying):
+            # worsening move: retract the beamformer, re-consolidate the
+            # lift onto it (a stale loose R would bias the next step toward
+            # its own direction, the harder the stiffer the penalty), then
+            # retry with a stiffer penalty
+            _roll_back(cur, [not k for k in ok], *(
+                entry if cur is state else (entry[0][trying], entry[1][trying])))
+        if cur is not state:
+            state.put(trying, cur)
+        rho = _lane_list(state.rho)
+        trying = [i for i, k in zip(trying, ok) if not k and rho[i] < RHO_CAP]
+        if trying:
+            for i in trying:
+                rho[i] = min(rho[i] * 10.0, RHO_CAP)
+            state.rho = _lane_field(rho, state.rho)
     resid = penalty_residual(state)
-    if accepted and resid > 10.0 * PENALTY_RESID_TOL:
-        # far from a tight lift: grow the penalty in proportion
-        boost = min(10.0, resid / (10.0 * PENALTY_RESID_TOL))
-        state.rho = min(state.rho * max(boost, RHO_GROWTH), RHO_CAP)
-    elif (accepted
-            and state.prev_residual is not None
-            and resid > (1.0 - RHO_DROP_TARGET) * state.prev_residual):
-        state.rho = min(state.rho * RHO_GROWTH, RHO_CAP)
+    rho = _lane_list(state.rho)
+    for i, (r, prev) in enumerate(zip(_lane_list(resid),
+                                      _lane_list(state.prev_residual))):
+        if not accepted[i]:
+            continue
+        if r > 10.0 * PENALTY_RESID_TOL:
+            # far from a tight lift: grow the penalty in proportion
+            boost = min(10.0, r / (10.0 * PENALTY_RESID_TOL))
+            rho[i] = min(rho[i] * max(boost, RHO_GROWTH), RHO_CAP)
+        elif r > (1.0 - RHO_DROP_TARGET) * prev:
+            rho[i] = min(rho[i] * RHO_GROWTH, RHO_CAP)
+    state.rho = _lane_field(rho, state.rho)
     state.prev_residual = resid
-    return contribution
+    return out
+
+
+def _roll_back(state: LocalSolverState, rejected: list,
+               w_entry: np.ndarray, eta_entry) -> None:
+    """Put the ``rejected`` lanes back at their entry beamformer, tight lift.
+
+    When every lane is rejected the entry arrays themselves are restored.
+    """
+    lanes = [i for i, r in enumerate(rejected) if r]
+    whole = len(lanes) == state.lanes
+    back = state if whole else state.take(lanes)
+    back.w, back.eta = ((w_entry, eta_entry) if whole else
+                        (w_entry[lanes], eta_entry[lanes]))
+    back.R = Lift.rank_one(back.w, back.F_abs_sq.shape[-1])
+    back.F_abs_sq = lagged_factor(back.R)
+    back.rejected_sweeps = back.rejected_sweeps + 1
+    if not whole:
+        state.put(lanes, back)

@@ -48,17 +48,26 @@ class SystemConfig:
     bs_positions: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        self.sigma2 = np.broadcast_to(
-            np.asarray(self.sigma2, dtype=float), (self.num_ues,)
-        ).copy()
+        self._validate_counts()
+        sigma2 = np.asarray(self.sigma2, dtype=float)
+        if sigma2.ndim > 1 or sigma2.size not in (1, self.num_ues):
+            raise ValueError(f"sigma2 must be one value or num_ues="
+                             f"{self.num_ues} values, got shape {sigma2.shape}")
+        self.sigma2 = np.broadcast_to(sigma2, (self.num_ues,)).copy()
         self.validate()
         if self.antenna_spacing is None:
             self.antenna_spacing = SPEED_OF_LIGHT / self.carrier_freq / 2.0
 
+    def _validate_counts(self):
+        for name in ("num_bs", "num_antennas", "num_ues", "num_paths"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
     def validate(self):
         """Raise ``ValueError`` on numbers no solve can use, NaN and inf too."""
-        if min(self.num_bs, self.num_antennas, self.num_ues, self.num_paths) < 1:
-            raise ValueError("num_bs, num_antennas, num_ues, num_paths must be >= 1")
+        self._validate_counts()
         if not _positive(self.power_budget):
             raise ValueError("power_budget must be finite and positive")
         if not _positive(self.sigma2):

@@ -5,10 +5,12 @@ into consensus copies Q_C by solving a strongly convex quadratic in closed
 form, shares the other-BS interference sums, refreshes the FP auxiliaries,
 and distributes; the BSs then run their penalty-MM sweeps with the consensus
 augmented-Lagrangian term, update their duals, and re-report. The per-BS
-solves within one iteration are independent (the loop is sequential here;
-trial-level parallelism lives in the harness). Set-up, the BSs' reports
-(the contribution cache), the convergence test and the report come from
-``block_driver``, shared with the ring and central solvers.
+solves within one iteration are independent, so all B stations move in one
+``local_solver.sweep`` call over a lane axis, one lane per BS, and all B
+duals update in one step; each lane moves exactly as a sweep of its BS
+alone would. Set-up, the BSs' reports (the contribution cache), the
+convergence test and the report come from ``block_driver``, shared with the
+ring and central solvers.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def dual_update(lam_b, Q_C_b, Q_b, varrho: float) -> np.ndarray:
     """Ascend the dual on the consensus residual vec(Q_C_b) - vec(Q_b).
 
     ``Q_b`` is the BS's reported signal/interference block; the step is
-    half the penalty.
+    half the penalty. Stacks over a leading BS axis update every dual.
     """
     resid = vec(np.asarray(Q_C_b)) - vec(np.asarray(Q_b))
     return np.asarray(lam_b) + 0.5 * varrho * resid
@@ -86,7 +88,8 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
              opts: SolverOptions | None = None) -> SolutionReport:
     """Consensus-ADMM solve; ``opts.max_outer`` counts outer iterations."""
     opts = opts or SolverOptions()
-    net = block_driver.setup(channels, config, pa, initial_beamformers)
+    net = block_driver.setup(channels, config, pa, initial_beamformers,
+                             batched=True)
     H, states, varrho = net.H, net.states, opts.varrho
     B, Nt, K = H.shape
     Q_L, p_L = net.Q_parts, net.p_parts  # the BSs' latest reports
@@ -113,11 +116,10 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
         Q_tilde = interference_share(Q_C)
         fp = fp_from(Q_C, p_L)
 
-        for b in range(B):
-            ctx = StarContext(Q_C=Q_C[b], lam=lam[b], varrho=varrho)
-            ws = local_solver.build_workspace(H[b], fp, Nt, K, Q_tilde[b])
-            net.visit(b, ws, ctx)
-            lam[b] = dual_update(lam[b], Q_C[b], Q_L[b], varrho)
+        ctx = StarContext(Q_C=Q_C, lam=lam, varrho=varrho)
+        ws = local_solver.build_workspace(H, fp, Nt, K, Q_tilde)
+        net.visit(0, ws, ctx)
+        lam = dual_update(lam, Q_C, Q_L, varrho)
 
         rate = net.rate()
         if rate < rate_prev - 1e-9 * max(1.0, abs(rate_prev)):
@@ -127,7 +129,7 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
             saved_states, lam, Q_L[:], p_L[:], Q_C, fp = snapshot
             for s, vals in zip(states, saved_states):
                 s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual = vals
-                s.rho = min(s.rho * 10.0, local_solver.RHO_CAP)
+                s.rho = np.minimum(s.rho * 10.0, local_solver.RHO_CAP)
             rejected_iterations += 1
             rate = rate_prev
 

@@ -16,15 +16,17 @@ solver evaluates at all: the dense Bussgang gain matrix (the solvers read
 its diagonal, ``pa_model.bussgang_gain_diag``), the full transformed
 sum-rate objective, and the w-step objective. So do the per-BS loops that
 the stacked BS axis replaced: the aggregates, the start-point scan and the
-channel's path sum, which the stacked forms equal bit for bit.
+channel's path sum, which the stacked forms equal bit for bit; and the star
+solver that sweeps its stations one at a time (``run_star_loop``), which
+star's one sweep over a lane axis of all B stations equals bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cellfree_dab import fp_core, local_solver
-from cellfree_dab.common import NUM_HALVINGS
+from cellfree_dab import block_driver, fp_core, local_solver, metrics, star_solver
+from cellfree_dab.common import NUM_HALVINGS, SolverOptions, initial_beamformers
 from cellfree_dab.fp_core import FpState, MetricsInputs
 from cellfree_dab.local_solver import Lift, StarContext, Workspace, unvec, vec
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag, distortion_cov
@@ -296,3 +298,74 @@ def channel_loop(geom, alpha: np.ndarray, config) -> np.ndarray:
                                     config.carrier_freq, config.antenna_spacing)
             H[b, :, k] = alpha[b, k] @ steer
     return H
+
+
+def run_star_loop(channels, config, pa: PaModel, opts=None):
+    """``star_solver.run_star`` with one sweep per station.
+
+    The stations keep their own states, without a lane axis, and are swept
+    one after another, each followed by its own dual step, as a star solver
+    without the lane axis would; the iteration, the retraction and the
+    report are run_star's.
+    """
+    opts = opts or SolverOptions()
+    net = block_driver.setup(channels, config, pa, initial_beamformers)
+    H, states, varrho = net.H, net.states, opts.varrho
+    B, Nt, K = H.shape
+    Q_L, p_L = net.Q_parts, net.p_parts
+    Q_C = Q_L.copy()
+    lam = np.zeros((B, K * K), dtype=complex)
+
+    def fp_from(Q_C_now, p_L_now) -> FpState:
+        inputs = MetricsInputs(Qsum=Q_C_now.sum(axis=0),
+                               psum=p_L_now.sum(axis=0), sigma2=net.sigma2)
+        return fp_core.update_fp(inputs)
+
+    fp = fp_from(Q_C, p_L)
+    trace = []
+    rate_prev = net.rate()
+    rejected_iterations = 0
+    residual_trace = []
+    for it in range(1, opts.max_outer + 1):
+        snapshot = (
+            [(s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual) for s in states],
+            lam.copy(), Q_L.copy(), p_L.copy(), Q_C.copy(), fp,
+        )
+        Q_C = star_solver.aggregate(Q_L, lam, fp, varrho)
+        Q_tilde = star_solver.interference_share(Q_C)
+        fp = fp_from(Q_C, p_L)
+        for b in range(B):
+            ctx = StarContext(Q_C=Q_C[b], lam=lam[b], varrho=varrho)
+            ws = local_solver.build_workspace(H[b], fp, Nt, K, Q_tilde[b])
+            net.visit(b, ws, ctx)
+            lam[b] = star_solver.dual_update(lam[b], Q_C[b], Q_L[b], varrho)
+
+        rate = net.rate()
+        if rate < rate_prev - 1e-9 * max(1.0, abs(rate_prev)):
+            saved_states, lam, Q_L[:], p_L[:], Q_C, fp = snapshot
+            for s, vals in zip(states, saved_states):
+                s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual = vals
+                s.rho = min(s.rho * 10.0, local_solver.RHO_CAP)
+            rejected_iterations += 1
+            rate = rate_prev
+
+        resid = star_solver.consensus_residual(Q_C, Q_L)
+        residual_trace.append(resid)
+        if not np.isfinite(rate):
+            raise RuntimeError(f"non-finite sum rate at iteration {it}")
+        download, upload, total = metrics.overhead_star(B, K, it)
+        trace.append((it, rate, resid, download, upload))
+        done = (resid <= star_solver.CONSENSUS_TOL
+                and block_driver.converged(rate, rate_prev, states, opts))
+        if done:
+            break
+        rate_prev = rate
+
+    return net.report(
+        fp, it, done, trace, star_solver.STAR_TRACE_COLUMNS,
+        counters={"download_values": download, "upload_values": upload,
+                  "total_values": total, "iterations": it},
+        diagnostics={"consensus_residual": residual_trace[-1],
+                     "consensus_residual_trace": residual_trace,
+                     "rejected_iterations": rejected_iterations},
+    )

@@ -1,0 +1,77 @@
+"""Print SHA-256 digests of solver outputs, to diff two versions of the code.
+
+Usage::
+
+    PYTHONPATH=src python tests/solve_digests.py > digests.txt
+
+Each line names one solve (shape, solver, mode) and digests its W, the repr
+of its sum rate, its trace, its counters and its diagnostics. The reprs keep
+the value types, so a float that turns into a numpy scalar shows too. Run it
+on two checkouts and ``diff`` the outputs: a refactor that claims bit-for-bit
+results must print the same lines. The shapes are the desk profile (seeds
+0-5, at 8 and 44 dBm), the paper's full profile, the 16-station network and
+the 64-antenna, 12-UE array. The file is not a test module; pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from cellfree_dab import harness
+from cellfree_dab.common import SolveMode, SolverOptions
+from cellfree_dab.pa_model import PaModel
+from cellfree_dab.scenario import desk_profile, full_profile, make_scenario
+
+SOLVERS = ("ring", "star", "central")
+MODES = ("DAB", "DUB", "IDEAL")
+
+
+def cases():
+    """(name, config, options) of every digested shape."""
+    for seed in range(6):
+        for dbm in (8, 44):
+            cfg = desk_profile(rng_seed=seed,
+                               power_budget=harness.dbm_to_watt(dbm))
+            yield f"desk/seed{seed}/{dbm}dBm", cfg, SolverOptions()
+    yield "full/seed1", full_profile(rng_seed=1), SolverOptions()
+    yield ("wide/seed1", full_profile(rng_seed=1, num_bs=16),
+           SolverOptions(max_outer=4))
+    yield ("large/seed1", full_profile(rng_seed=1, num_antennas=64, num_ues=12),
+           SolverOptions(max_outer=2))
+
+
+def digest(data) -> str:
+    if isinstance(data, np.ndarray):
+        data = repr((data.shape, data.dtype.str)).encode() + data.tobytes()
+    elif not isinstance(data, bytes):
+        data = repr(data).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main():
+    pa = PaModel.reference()
+    for name, cfg, opts in cases():
+        _, channels = make_scenario(cfg)
+        for solver in SOLVERS:
+            for tag in MODES:
+                mode = SolveMode.from_tag(tag, pa)
+                try:
+                    rep = harness.run_solver(solver, channels, cfg, mode, opts)
+                except (RuntimeError, np.linalg.LinAlgError) as exc:
+                    print(name, solver, tag, "error:", exc)
+                    continue
+                print(name, solver, tag,
+                      f"W={digest(np.ascontiguousarray(rep.W))}",
+                      f"rate={digest(repr(rep.sum_rate))}",
+                      f"iterations={rep.iterations}",
+                      f"converged={rep.converged}",
+                      f"trace={digest(rep.trace)}",
+                      f"counters={digest(sorted(rep.counters.items()))}",
+                      f"diagnostics={digest(sorted(rep.diagnostics.items()))}")
+
+
+if __name__ == "__main__":
+    main()

@@ -69,6 +69,18 @@ def test_spec_validation():
         ExperimentSpec(sweep_var="foo", sweep_values=(1.0,))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_outer", 0), ("max_outer", 2.5), ("max_outer", True),
+    ("tol", np.nan), ("tol", np.inf), ("tol", -1e-4),
+    ("varrho", np.nan), ("varrho", np.inf), ("varrho", 0.0)])
+def test_solver_options_reject_unusable_values(field, value):
+    # NaN, inf and fractional values used to pass: tol=nan silently ran
+    # every pass, varrho=inf ended in a LinAlgError, varrho=nan in an FP
+    # error and max_outer=2.5 in a TypeError
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
+
+
 def test_run_experiment_deterministic(tmp_path):
     spec = dict(
         scenario=desk_profile(rng_seed=3),
@@ -238,6 +250,22 @@ class TestCli:
                 assert row["status"] == "ok", row
             else:
                 assert row["status"].startswith("error:"), row
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_ues", 2.5), ("num_ues", 0), ("num_bs", True), ("num_paths", 2.0),
+        ("sigma2", [1e-23, 1e-23, 1e-23])])
+    def test_config_with_bad_count_exits_1(self, field, value, tmp_path, capsys):
+        doc = json.loads(desk_profile().to_json())
+        doc[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = cli_main(["sweep", "--var", "pt", "--values", "30",
+                         "--config", str(cfg_path), "--trials", "1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err
+        assert not (tmp_path / "o" / "summary.csv").exists()
 
     def test_config_roundtrip_through_cli(self, tmp_path):
         cfg = desk_profile(rng_seed=9)

@@ -148,6 +148,24 @@ def test_config_validation():
             desk_profile(**bad)
 
 
+@pytest.mark.parametrize("field", ["num_bs", "num_antennas", "num_ues",
+                                   "num_paths"])
+def test_config_counts_must_be_whole(field):
+    # checked before sigma2 is broadcast to num_ues entries, so a bad count
+    # is named instead of surfacing as a numpy broadcast error
+    for bad in (2.5, 0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: bad})
+    assert getattr(SystemConfig(**{field: np.int64(2)}), field) == 2
+
+
+def test_config_sigma2_length_must_match_num_ues():
+    with pytest.raises(ValueError, match="sigma2"):
+        SystemConfig(num_ues=3, sigma2=[1e-18, 1e-18])
+    cfg = SystemConfig(num_ues=3, sigma2=[1e-18, 2e-18, 3e-18])
+    assert cfg.sigma2.tolist() == [1e-18, 2e-18, 3e-18]
+
+
 def test_default_antenna_spacing_is_half_wavelength():
     cfg = SystemConfig(carrier_freq=28e9)
     assert cfg.antenna_spacing == pytest.approx(

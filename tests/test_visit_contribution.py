@@ -142,6 +142,8 @@ def test_one_distortion_covariance_per_visit(solver, monkeypatch):
 
     Beyond the start-point scan and the initial cache (one stacked call for
     all BSs), a visit builds one contribution, plus one per rejected attempt.
+    Star's visit is one sweep of all B stations per iteration, and an
+    attempt one stacked contribution of the stations still trying.
     """
     counts = {"cov": 0, "scan": 0, "update_w": 0, "sweep": 0}
 
@@ -171,8 +173,7 @@ def test_one_distortion_covariance_per_visit(solver, monkeypatch):
     cfg = desk_profile(rng_seed=1)
     _, ch = make_scenario(cfg)
     rep = SOLVES[solver](ch, cfg, pa, SolverOptions(max_outer=6, tol=0.0))
-    B = cfg.num_bs
-    visits = rep.counters.get("visits", B * rep.iterations)
+    visits = rep.counters.get("visits", rep.iterations)
     assert counts["sweep"] == visits
     rejected = counts["update_w"] - counts["sweep"]
     assert counts["scan"] > 0
@@ -181,21 +182,22 @@ def test_one_distortion_covariance_per_visit(solver, monkeypatch):
 
 @pytest.mark.parametrize("solver", sorted(SOLVES))
 def test_report_counts_rejected_sweeps(solver, monkeypatch):
-    """Each w-step starts one attempted move and a visit accepts at most one,
-    so ``rejected_sweeps`` is the ``update_w`` calls less the visits that
-    moved their BS. A visit still rejected at the penalty cap moves nothing:
-    it adds a rejection but no retry."""
+    """Each w-step starts one attempted move per lane (BS) it solves, and a
+    visit accepts at most one per BS, so ``rejected_sweeps`` is the lanes
+    of the ``update_w`` calls less the BSs that a visit moved. A BS still
+    rejected at the penalty cap moves nothing: it adds a rejection but no
+    retry."""
     counts = {"update_w": 0, "moved": 0}
     update_w, sweep = ls.update_w, ls.sweep
 
-    def counted_update_w(*args, **kwargs):
-        counts["update_w"] += 1
-        return update_w(*args, **kwargs)
+    def counted_update_w(state, *args, **kwargs):
+        counts["update_w"] += state.lanes
+        return update_w(state, *args, **kwargs)
 
     def counted_sweep(state, *args, **kwargs):
         w_entry = state.w
         out = sweep(state, *args, **kwargs)
-        counts["moved"] += state.w is not w_entry
+        counts["moved"] += int(np.any(state.w != w_entry, axis=-1).sum())
         return out
 
     monkeypatch.setattr(ls, "update_w", counted_update_w)
