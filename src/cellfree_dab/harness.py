@@ -1,10 +1,10 @@
 """Experiment driver: convergence traces, sweeps, patterns, and manifests.
 
 Every experiment is a deterministic function of (config JSON, seed): trial
-seeds derive from the config seed and the trial index, results are gathered
-from the worker pool and sorted by task key before writing, and the manifest
-records the config hash so a rerun can be verified byte-for-byte (manifest
-timestamp aside).
+seeds derive from the config seed and the trial index, trials run one after
+another on the calling thread, rows are written sorted by task key, and the
+manifest records the config hash so a rerun can be verified byte-for-byte
+(manifest timestamp aside).
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +27,6 @@ from .star_solver import run_star
 from .scenario import SystemConfig, desk_profile
 
 SOLVERS = ("ring", "star", "central")
-THREADS_ENV = "CELLFREE_DAB_THREADS"
 
 SWEEP_VARS = {
     "pt": "transmit power in dBm",
@@ -63,6 +60,11 @@ class ExperimentSpec:
             if self.sweep_var not in SWEEP_VARS:
                 raise ValueError(f"unknown sweep variable {self.sweep_var!r}")
             vals = list(self.sweep_values)
+            for value in vals:
+                try:  # so a bad value fails before the first solve
+                    config_for_value(self.scenario, self.sweep_var, value)
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"sweep value {value!r}: {exc}") from exc
             if vals != sorted(vals) or len(set(vals)) != len(vals):
                 raise ValueError("sweep values must be strictly increasing")
 
@@ -101,10 +103,8 @@ def run_solver(name: str, channels, config: SystemConfig, mode: SolveMode,
 
 
 def _worker_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    """Tasks run at once: 1, as they run inline (``perfbench/`` reads it)."""
+    return 1
 
 
 def _one_task(spec: ExperimentSpec, value, solver: str, tag: str, trial: int):
@@ -149,13 +149,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         for tag in spec.modes
         for trial in range(spec.trials)
     ]
-    results = {}
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = {
-            pool.submit(_one_task, spec, *task): task for task in tasks
-        }
-        for fut, task in futures.items():
-            results[task] = fut.result()
+    results = {task: _one_task(spec, *task) for task in tasks}
 
     summary_path = out / "summary.csv"
     with open(summary_path, "w", newline="") as fh:

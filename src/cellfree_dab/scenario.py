@@ -48,7 +48,7 @@ class SystemConfig:
     bs_positions: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        self._validate_counts()
+        self._validate_integers()
         sigma2 = np.asarray(self.sigma2, dtype=float)
         if sigma2.ndim > 1 or sigma2.size not in (1, self.num_ues):
             raise ValueError(f"sigma2 must be one value or num_ues="
@@ -58,16 +58,18 @@ class SystemConfig:
         if self.antenna_spacing is None:
             self.antenna_spacing = SPEED_OF_LIGHT / self.carrier_freq / 2.0
 
-    def _validate_counts(self):
-        for name in ("num_bs", "num_antennas", "num_ues", "num_paths"):
+    def _validate_integers(self):
+        for name, low in (("num_bs", 1), ("num_antennas", 1), ("num_ues", 1),
+                          ("num_paths", 1), ("rng_seed", 0)):
             value = getattr(self, name)
             if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer)) or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                    or not isinstance(value, (int, np.integer)) or value < low):
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
 
     def validate(self):
         """Raise ``ValueError`` on numbers no solve can use, NaN and inf too."""
-        self._validate_counts()
+        self._validate_integers()
         if not _positive(self.power_budget):
             raise ValueError("power_budget must be finite and positive")
         if not _positive(self.sigma2):

@@ -10,23 +10,36 @@ the value types, so a float that turns into a numpy scalar shows too. Run it
 on two checkouts and ``diff`` the outputs: a refactor that claims bit-for-bit
 results must print the same lines. The shapes are the desk profile (seeds
 0-5, at 8 and 44 dBm), the paper's full profile, the 16-station network and
-the 64-antenna, 12-UE array. The file is not a test module; pytest does not
-collect it.
+the 64-antenna, 12-UE array. After the solves it prints one line per file
+that ``cellfree-dab convergence --trials 2`` and ``cellfree-dab sweep --var pt
+--values 8,44 --trials 2`` write, with ``manifest.json`` digested without its
+timestamp, so one ``diff`` also checks the CLI outputs byte for byte. The file
+is not a test module; pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from cellfree_dab import harness
+from cellfree_dab.cli import cli_main
 from cellfree_dab.common import SolveMode, SolverOptions
 from cellfree_dab.pa_model import PaModel
 from cellfree_dab.scenario import desk_profile, full_profile, make_scenario
 
 SOLVERS = ("ring", "star", "central")
 MODES = ("DAB", "DUB", "IDEAL")
+COMMANDS = {
+    "convergence": ["convergence", "--trials", "2"],
+    "sweep": ["sweep", "--var", "pt", "--values", "8,44", "--trials", "2"],
+}
 
 
 def cases():
@@ -71,6 +84,24 @@ def main():
                       f"trace={digest(rep.trace)}",
                       f"counters={digest(sorted(rep.counters.items()))}",
                       f"diagnostics={digest(sorted(rep.diagnostics.items()))}")
+
+    print_file_digests()
+
+
+def print_file_digests():
+    for name, argv in COMMANDS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main([*argv, "--out", tmp])
+            print(f"files/{name}", f"exit={code}")
+            for path in sorted(Path(tmp).iterdir()):
+                data = path.read_bytes()
+                if path.name == "manifest.json":
+                    doc = json.loads(data)
+                    doc.pop("timestamp")
+                    data = json.dumps(doc, sort_keys=True).encode()
+                print(f"files/{name}/{path.name}",
+                      f"sha256={hashlib.sha256(data).hexdigest()}")
 
 
 if __name__ == "__main__":

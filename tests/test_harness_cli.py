@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -189,13 +190,45 @@ def test_huge_budget_raises_runtime_error(run):
         run(ch, cfg, PaModel.reference())
 
 
-def test_worker_env_cap(monkeypatch):
+def test_tasks_run_inline_in_grid_order(tmp_path, monkeypatch):
     from cellfree_dab import harness
 
-    monkeypatch.setenv(harness.THREADS_ENV, "2")
-    assert harness._worker_count() == 2
-    monkeypatch.delenv(harness.THREADS_ENV)
-    assert harness._worker_count() >= 1
+    real = harness._one_task
+    calls = []
+
+    def one_task(spec, value, solver, tag, trial):
+        calls.append((threading.get_ident(), value, solver, tag, trial))
+        return real(spec, value, solver, tag, trial)
+
+    monkeypatch.setattr(harness, "_one_task", one_task)
+    spec = ExperimentSpec(scenario=desk_profile(rng_seed=2),
+                          solvers=("star", "central"), modes=("DUB",),
+                          sweep_var="pt", sweep_values=(30.0, 38.0), trials=2,
+                          output_dir=tmp_path, opts=FAST_OPTS)
+    run_experiment(spec)
+    assert {c[0] for c in calls} == {threading.get_ident()}
+    assert [c[1:] for c in calls] == [
+        (value, solver, "DUB", trial) for value in (30.0, 38.0)
+        for solver in ("star", "central") for trial in (0, 1)]
+
+
+def test_unexpected_error_ends_the_run_at_once(tmp_path, monkeypatch):
+    from cellfree_dab import harness
+
+    calls = []
+
+    def broken(name, channels, config, mode, opts):
+        calls.append(name)
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(harness, "run_solver", broken)
+    spec = ExperimentSpec(scenario=desk_profile(rng_seed=4),
+                          solvers=("ring", "central"), modes=("DAB",),
+                          trials=2, output_dir=tmp_path, opts=FAST_OPTS)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_experiment(spec)
+    assert calls == ["ring"]
+    assert not (tmp_path / "summary.csv").exists()
 
 
 class TestCli:
@@ -223,6 +256,29 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert code == 1
         assert "whole numbers" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("var,values,bad", [
+        ("pt", "8,44,nan", "nan"), ("pt", "8,1e6", "1000000.0"),
+        ("bs", "0,2", "0"), ("nt", "2,4,0", "0")])
+    def test_bad_sweep_value_exits_1_before_any_solve(self, var, values, bad,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        from cellfree_dab import harness
+
+        calls = []
+
+        def counted(name, channels, config, mode, opts):
+            calls.append(name)
+            raise RuntimeError("no solve expected")
+
+        monkeypatch.setattr(harness, "run_solver", counted)
+        code = cli_main(["sweep", "--var", var, "--values", values,
+                         "--trials", "1", "--solver", "ring", "--mode", "DAB",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: sweep value {bad}:" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "summary.csv").exists()
 
     def test_sweep_runs(self, tmp_path):
@@ -253,7 +309,8 @@ class TestCli:
 
     @pytest.mark.parametrize("field,value", [
         ("num_ues", 2.5), ("num_ues", 0), ("num_bs", True), ("num_paths", 2.0),
-        ("sigma2", [1e-23, 1e-23, 1e-23])])
+        ("sigma2", [1e-23, 1e-23, 1e-23]), ("rng_seed", 1.5),
+        ("rng_seed", -3)])
     def test_config_with_bad_count_exits_1(self, field, value, tmp_path, capsys):
         doc = json.loads(desk_profile().to_json())
         doc[field] = value

@@ -159,6 +159,16 @@ def test_config_counts_must_be_whole(field):
     assert getattr(SystemConfig(**{field: np.int64(2)}), field) == 2
 
 
+def test_config_rng_seed_must_be_nonnegative_integer():
+    # 1.5 used to run as seed 1 (trial_seed truncates it) and -3 to fail
+    # inside the first solve with a numpy message that named no field
+    for bad in (1.5, -3, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="rng_seed"):
+            desk_profile(rng_seed=bad)
+    assert desk_profile(rng_seed=0).rng_seed == 0
+    assert desk_profile(rng_seed=np.uint32(2**32 - 1)).rng_seed == 2**32 - 1
+
+
 def test_config_sigma2_length_must_match_num_ues():
     with pytest.raises(ValueError, match="sigma2"):
         SystemConfig(num_ues=3, sigma2=[1e-18, 1e-18])
