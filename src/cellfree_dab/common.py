@@ -12,6 +12,8 @@ from .pa_model import PaModel
 
 # depth of the start point's power-backoff scan, in halvings of the budget
 NUM_HALVINGS = 12
+# bytes of stacked Nt x Nt distortion covariances in one chunk of the scan
+SCAN_STACK_BYTES = 1 << 18
 
 
 @dataclass
@@ -100,37 +102,40 @@ def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray:
     ``RuntimeError``.
 
     Both shapes are built for all B stations at once along H's leading BS
-    axis (stacked Gram, inverse and column norms). Each candidate is one
-    stacked ``fp_core.bs_contribution`` and the backoffs of a shape are
-    scored by one stacked ``fp_core.sum_rate``; every step equals its
-    per-BS form (``initial_beamformers_loop`` in ``tests/reference.py``) bit
-    for bit.
+    axis (stacked Gram, inverse and column norms). The backoffs of a shape
+    are scored in stacked calls of bounded size: a chunk of n backoffs is
+    one (n, B, Nt, K) stack of beamformers, one ``fp_core.bs_contribution``,
+    one ``fp_core.sum_contributions`` and one ``fp_core.sum_rate``. A chunk
+    holds at most ``SCAN_STACK_BYTES`` of the stations' Nt x Nt distortion
+    covariances, so memory stays O(B Nt^2). Every step equals its per-BS,
+    per-backoff form (``initial_beamformers_loop`` in ``tests/reference.py``)
+    bit for bit.
     """
     H = np.asarray(H)
-    K = H.shape[-1]
+    B, Nt, K = H.shape
     mf = H / np.linalg.norm(H, axis=-2, keepdims=True)
     gram = np.swapaxes(H.conj(), -1, -2) @ H
     ridge = 1e-12 * np.trace(gram, axis1=-2, axis2=-1).real / K
     Z = H @ np.linalg.inv(gram + ridge[:, None, None] * np.eye(K))
     zf = Z / np.linalg.norm(Z, axis=-2, keepdims=True)
+    # the scalar expression per backoff: a vectorized power may round apart
+    scales = np.array([np.sqrt(0.5 ** (0.5 * half_exponent))
+                       for half_exponent in range(2 * NUM_HALVINGS + 1)])
+    per = max(1, SCAN_STACK_BYTES // (B * Nt * Nt * 16))
     best_W, best_rate = None, -np.inf
     for cand in (mf, zf):
         W_full = np.sqrt(Pt / K) * cand
-        scan = [np.sqrt(0.5 ** (0.5 * half_exponent)) * W_full
-                for half_exponent in range(2 * NUM_HALVINGS + 1)]
-        aggregates = [fp_core.sum_contributions(
-            *fp_core.bs_contribution(H, W, pa), sigma2) for W in scan]
-        rates = fp_core.sum_rate(fp_core.MetricsInputs(
-            Qsum=np.stack([a.Qsum for a in aggregates]),
-            psum=np.stack([a.psum for a in aggregates]),
-            sigma2=sigma2))
-        for W, rate in zip(scan, rates):
-            if rate > best_rate:
-                best_W, best_rate = W, rate
+        for start in range(0, len(scales), per):
+            stack = scales[start:start + per, None, None, None] * W_full
+            rates = fp_core.sum_rate(fp_core.sum_contributions(
+                *fp_core.bs_contribution(H, stack, pa), sigma2))
+            for W, rate in zip(stack, rates):
+                if rate > best_rate:
+                    best_W, best_rate = W, rate
     if best_W is None:
         raise RuntimeError(f"no start point scores a finite sum rate at "
                            f"Pt={Pt!r} W")
-    return best_W
+    return best_W.copy()
 
 
 def channel_scale(H: np.ndarray) -> float:

@@ -5,11 +5,11 @@ everything else: Qsum[k, j] collects the signal (j == k) and interference
 (j != k) reaching UE k from all BSs, psum[k] the total received distortion
 power. Rates are in bit/s/Hz (log base 2). Denominators are floored at
 ``DENOM_FLOOR`` as a guard for degenerate test inputs; valid configurations
-never hit the floor because noise powers are positive. Contributions and
-rates also take a leading stack axis (BSs, or candidate aggregates), so all
-B stations or a whole scan cost one numpy call per step. The full
-transformed objective, which the solvers never evaluate, is a reference in
-``tests/reference.py``.
+never hit the floor because noise powers are positive. Contributions, their
+sums and rates also take leading stack axes (BSs, and candidates ahead of
+them), so all B stations or a chunk of the start-point scan cost one numpy
+call per step. The full transformed objective, which the solvers never
+evaluate, is a reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ def bs_contribution(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel):
     of received distortion powers. ``H_b`` and ``W_b`` may also carry a
     leading BS axis, (B, Nt, K); the result is then the (B, K, K) and (B, K)
     stacks, bit for bit the per-BS calls, in one numpy call per step. The
-    inputs are made C-contiguous first: BLAS sums in a layout-dependent
-    order, and the solvers pass column-major views where
+    leading axes broadcast: (B, Nt, K) channels with an (n, B, Nt, K) stack
+    of candidate beamformers give (n, B, K, K) and (n, B, K), bit for bit n
+    calls. The inputs are made C-contiguous first: BLAS sums in a
+    layout-dependent order, and the solvers pass column-major views where
     ``metrics.evaluate`` passes row-major stacks, so without it the same
     beamformer could give different last bits.
     """
@@ -67,7 +69,7 @@ def bs_contribution(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel):
     g = bussgang_gain_diag(W_b, pa)
     Q = np.swapaxes(H_b.conj(), -1, -2) @ (g[..., None] * W_b)
     if pa.is_ideal:
-        p = np.zeros(H_b.shape[:-2] + H_b.shape[-1:])
+        p = np.zeros(Q.shape[:-1])
     else:
         Cd = distortion_cov(W_b, pa)
         p = np.real(np.einsum("...nk,...nm,...mk->...k", H_b.conj(), Cd, H_b))
@@ -83,9 +85,13 @@ def sum_contributions(Q_parts, p_parts, sigma2) -> MetricsInputs:
     One ``add.accumulate`` over the BS axis keeps that order for every K
     (``sum(axis=0)`` switches to pairwise summation when K = 1); adding 0.0
     turns the -0.0 an all-(-0.0) column accumulates into the loop's +0.0.
+    The BS axis is counted from the end, so (n, B, K, K) and (n, B, K)
+    stacks give n aggregates, bit for bit n calls.
     """
-    Qsum = np.add.accumulate(np.asarray(Q_parts, dtype=complex), axis=0)[-1] + 0.0
-    psum = np.add.accumulate(np.asarray(p_parts, dtype=float), axis=0)[-1] + 0.0
+    Qsum = np.add.accumulate(np.asarray(Q_parts, dtype=complex),
+                             axis=-3)[..., -1, :, :] + 0.0
+    psum = np.add.accumulate(np.asarray(p_parts, dtype=float),
+                             axis=-2)[..., -1, :] + 0.0
     return MetricsInputs(Qsum=Qsum, psum=psum, sigma2=np.asarray(sigma2, dtype=float))
 
 

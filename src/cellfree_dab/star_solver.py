@@ -8,7 +8,8 @@ augmented-Lagrangian term, update their duals, and re-report. The per-BS
 solves within one iteration are independent, so all B stations move in one
 ``local_solver.sweep`` call over a lane axis, one lane per BS, and all B
 duals update in one step; each lane moves exactly as a sweep of its BS
-alone would. Set-up, the BSs' reports (the contribution cache), the
+alone would. A retracted iteration that leaves every station where it
+started ends the solve as stalled (``run_star``). Set-up, the BSs' reports (the contribution cache), the
 convergence test and the report come from ``block_driver``, shared with the
 ring and central solvers.
 """
@@ -86,7 +87,15 @@ def consensus_residual(Q_C, Q_L) -> float:
 
 def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
              opts: SolverOptions | None = None) -> SolutionReport:
-    """Consensus-ADMM solve; ``opts.max_outer`` counts outer iterations."""
+    """Consensus-ADMM solve; ``opts.max_outer`` counts outer iterations.
+
+    An iteration that lowers the rate is retracted and every station's
+    penalty rho is bumped. When the bump leaves every rho where the
+    iteration started (at ``local_solver.RHO_CAP``), the next iteration
+    would replay this one bit for bit, so the loop ends there with that
+    iteration's trace row, ``converged=False`` and
+    ``diagnostics["stalled"] = True``.
+    """
     opts = opts or SolverOptions()
     net = block_driver.setup(channels, config, pa, initial_beamformers,
                              batched=True)
@@ -112,6 +121,8 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
             [(s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual) for s in states],
             lam.copy(), Q_L.copy(), p_L.copy(), Q_C.copy(), fp,
         )
+        rho_start = [np.copy(s.rho) for s in states]
+        replay = False
         Q_C = aggregate(Q_L, lam, fp, varrho)
         Q_tilde = interference_share(Q_C)
         fp = fp_from(Q_C, p_L)
@@ -132,6 +143,10 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
                 s.rho = np.minimum(s.rho * 10.0, local_solver.RHO_CAP)
             rejected_iterations += 1
             rate = rate_prev
+            # everything this iteration read is back, rho too: the next
+            # iteration would replay it bit for bit
+            replay = all(np.array_equal(s.rho, r)
+                         for s, r in zip(states, rho_start))
 
         resid = consensus_residual(Q_C, Q_L)
         residual_trace.append(resid)
@@ -142,7 +157,8 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
 
         done = (resid <= CONSENSUS_TOL
                 and block_driver.converged(rate, rate_prev, states, opts))
-        if done:
+        stalled = replay and not done
+        if done or stalled:
             break
         rate_prev = rate
 
@@ -158,5 +174,6 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
             "consensus_residual": residual_trace[-1],
             "consensus_residual_trace": residual_trace,
             "rejected_iterations": rejected_iterations,
+            "stalled": stalled,
         },
     )

@@ -305,8 +305,9 @@ def run_star_loop(channels, config, pa: PaModel, opts=None):
 
     The stations keep their own states, without a lane axis, and are swept
     one after another, each followed by its own dual step, as a star solver
-    without the lane axis would; the iteration, the retraction and the
-    report are run_star's.
+    without the lane axis would; the iteration, the retraction, the stop
+    after a retraction that leaves every rho where it was, and the report
+    are run_star's.
     """
     opts = opts or SolverOptions()
     net = block_driver.setup(channels, config, pa, initial_beamformers)
@@ -331,6 +332,8 @@ def run_star_loop(channels, config, pa: PaModel, opts=None):
             [(s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual) for s in states],
             lam.copy(), Q_L.copy(), p_L.copy(), Q_C.copy(), fp,
         )
+        rho_start = [s.rho for s in states]
+        replay = False
         Q_C = star_solver.aggregate(Q_L, lam, fp, varrho)
         Q_tilde = star_solver.interference_share(Q_C)
         fp = fp_from(Q_C, p_L)
@@ -348,6 +351,7 @@ def run_star_loop(channels, config, pa: PaModel, opts=None):
                 s.rho = min(s.rho * 10.0, local_solver.RHO_CAP)
             rejected_iterations += 1
             rate = rate_prev
+            replay = all(s.rho == r for s, r in zip(states, rho_start))
 
         resid = star_solver.consensus_residual(Q_C, Q_L)
         residual_trace.append(resid)
@@ -357,7 +361,8 @@ def run_star_loop(channels, config, pa: PaModel, opts=None):
         trace.append((it, rate, resid, download, upload))
         done = (resid <= star_solver.CONSENSUS_TOL
                 and block_driver.converged(rate, rate_prev, states, opts))
-        if done:
+        stalled = replay and not done
+        if done or stalled:
             break
         rate_prev = rate
 
@@ -367,5 +372,6 @@ def run_star_loop(channels, config, pa: PaModel, opts=None):
                   "total_values": total, "iterations": it},
         diagnostics={"consensus_residual": residual_trace[-1],
                      "consensus_residual_trace": residual_trace,
-                     "rejected_iterations": rejected_iterations},
+                     "rejected_iterations": rejected_iterations,
+                     "stalled": stalled},
     )

@@ -6,7 +6,11 @@ Usage::
 
 Each line names one solve (shape, solver, mode) and digests its W, the repr
 of its sum rate, its trace, its counters and its diagnostics. The reprs keep
-the value types, so a float that turns into a numpy scalar shows too. Run it
+the value types, so a float that turns into a numpy scalar shows too. Each
+shape also gets one ``scan`` line: the digest of the start point
+(``common.initial_beamformers`` on the normalized channel, as the solvers
+call it) under each design amplifier, so a change to the scan alone shows
+on its own line. Run it
 on two checkouts and ``diff`` the outputs: a refactor that claims bit-for-bit
 results must print the same lines. The shapes are the desk profile (seeds
 0-5, at 8 and 44 dBm), the paper's full profile, the 16-station network and
@@ -30,7 +34,8 @@ import numpy as np
 
 from cellfree_dab import harness
 from cellfree_dab.cli import cli_main
-from cellfree_dab.common import SolveMode, SolverOptions
+from cellfree_dab.common import (SolveMode, SolverOptions, channel_scale,
+                                 initial_beamformers)
 from cellfree_dab.pa_model import PaModel
 from cellfree_dab.scenario import desk_profile, full_profile, make_scenario
 
@@ -68,6 +73,12 @@ def main():
     pa = PaModel.reference()
     for name, cfg, opts in cases():
         _, channels = make_scenario(cfg)
+        scale = channel_scale(channels.H)
+        H, sigma2 = channels.H / scale, cfg.sigma2 / scale**2
+        print(name, "scan", *(
+            f"{amp}=" + digest(initial_beamformers(H, cfg.power_budget, design,
+                                                   sigma2))
+            for amp, design in (("reference", pa), ("ideal", PaModel.ideal()))))
         for solver in SOLVERS:
             for tag in MODES:
                 mode = SolveMode.from_tag(tag, pa)

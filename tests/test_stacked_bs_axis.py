@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import reference as ref
-from cellfree_dab.common import channel_scale, initial_beamformers
+from cellfree_dab import fp_core
+from cellfree_dab.common import (NUM_HALVINGS, SCAN_STACK_BYTES, channel_scale,
+                                 initial_beamformers)
 from cellfree_dab.fp_core import (
     MetricsInputs,
     bs_contribution,
@@ -54,6 +56,41 @@ def test_stacked_contribution_equals_per_bs(shape, amp, order):
         assert same(Q[b], Q_b) and same(p[b], p_b), b
         assert same(g[b], bussgang_gain_diag(W[b], pa)), b
         assert same(Cd[b], distortion_cov(W[b], pa)), b
+
+
+@pytest.mark.parametrize("amp", sorted(AMPLIFIERS))
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_candidate_stack_contribution_equals_per_candidate(shape, amp):
+    """(B, Nt, K) channels and an (n, B, Nt, K) stack of beamformers give
+    n stacked contributions, each bit for bit its own call."""
+    pa = AMPLIFIERS[amp]
+    n = 3
+    rng = np.random.default_rng(sum(shape) + 1)
+    H = rand_c(rng, *shape)
+    W = 0.1 * rand_c(rng, n, *shape)
+    Q, p = bs_contribution(H, W, pa)
+    B, _, K = shape
+    assert Q.shape == (n, B, K, K) and p.shape == (n, B, K)
+    for j in range(n):
+        Q_j, p_j = bs_contribution(H, W[j], pa)
+        assert same(Q[j], Q_j) and same(p[j], p_j), j
+
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+@pytest.mark.parametrize("K", [1, 2, 6])
+def test_sum_contributions_of_a_stack_equals_per_aggregate(B, K):
+    """(n, B, K, K) and (n, B, K) stacks give n aggregates, K = 1 too."""
+    n = 4
+    rng = np.random.default_rng(100 * B + K)
+    Q_parts = rand_c(rng, n, B, K, K) * 10.0 ** rng.uniform(-8, 8, (n, B, 1, 1))
+    p_parts = rng.standard_normal((n, B, K)) * 10.0 ** rng.uniform(-8, 8, (n, B, 1))
+    Q_parts[..., 0, -1] = -0.0
+    p_parts[..., -1] = -0.0
+    got = sum_contributions(Q_parts, p_parts, np.ones(K))
+    assert got.Qsum.shape == (n, K, K) and got.psum.shape == (n, K)
+    for j in range(n):
+        want = sum_contributions(Q_parts[j], p_parts[j], np.ones(K))
+        assert same(got.Qsum[j], want.Qsum) and same(got.psum[j], want.psum)
 
 
 @pytest.mark.parametrize("B", [1, 3, 8, 16])
@@ -114,11 +151,15 @@ def test_initial_beamformers_equal_loop(seed, amp):
                 ref.initial_beamformers_loop(H, Pt, pa, sigma2))
 
 
-@pytest.mark.parametrize("make_config", [
-    desk_profile, full_profile,
-    lambda **kw: full_profile(num_bs=16, **kw),
-    lambda **kw: full_profile(num_antennas=64, num_ues=12, **kw),
-], ids=["desk", "full", "wide", "large"])
+CONFIGS = {
+    "desk": desk_profile,
+    "full": full_profile,
+    "wide": lambda **kw: full_profile(num_bs=16, **kw),
+    "large": lambda **kw: full_profile(num_antennas=64, num_ues=12, **kw),
+}
+
+
+@pytest.mark.parametrize("make_config", list(CONFIGS.values()), ids=list(CONFIGS))
 def test_generate_channel_equals_loop(make_config):
     for seed in range(3):
         cfg = make_config(rng_seed=seed)
@@ -127,12 +168,44 @@ def test_generate_channel_equals_loop(make_config):
         assert same(ch.H, ref.channel_loop(geom, ch.alpha, cfg))
 
 
-def test_solver_start_point_equals_loop():
-    """The scan on a real normalized channel, as the solvers call it."""
-    cfg = full_profile(rng_seed=1)
+def normalized(cfg):
+    """The channel and noise powers as the solvers hand them to the scan."""
     _, ch = make_scenario(cfg)
     scale = channel_scale(ch.H)
-    H, sigma2 = ch.H / scale, cfg.sigma2 / scale**2
-    pa = PaModel.reference()
-    assert same(initial_beamformers(H, cfg.power_budget, pa, sigma2),
-                ref.initial_beamformers_loop(H, cfg.power_budget, pa, sigma2))
+    return ch.H / scale, cfg.sigma2 / scale**2
+
+
+def test_solver_start_point_equals_loop():
+    """The scan on a real normalized channel, as the solvers call it: desk
+    scores its 25 backoffs in one chunk, full in 16 + 9, wide in chunks of
+    4, ..., 4, 1 and large (whose Nt x Nt covariances fill a chunk alone)
+    one at a time."""
+    for name, make_config in CONFIGS.items():
+        cfg = make_config(rng_seed=1)
+        H, sigma2 = normalized(cfg)
+        for pa in (PaModel.reference(), PaModel.ideal()):
+            assert same(
+                initial_beamformers(H, cfg.power_budget, pa, sigma2),
+                ref.initial_beamformers_loop(H, cfg.power_budget, pa, sigma2),
+            ), (name, pa)
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("desk", 2), ("full", 4), ("wide", 14), ("large", 50)])
+def test_scan_makes_one_contribution_call_per_chunk(name, calls, monkeypatch):
+    cfg = CONFIGS[name](rng_seed=1)
+    H, sigma2 = normalized(cfg)
+    B, Nt, _ = H.shape
+    per = max(1, SCAN_STACK_BYTES // (B * Nt * Nt * 16))
+    assert calls == 2 * -(-(2 * NUM_HALVINGS + 1) // per)
+    seen = []
+    contribution = fp_core.bs_contribution
+
+    def counted(H_b, W_b, pa):
+        seen.append(np.shape(W_b))
+        return contribution(H_b, W_b, pa)
+
+    monkeypatch.setattr(fp_core, "bs_contribution", counted)
+    initial_beamformers(H, cfg.power_budget, PaModel.reference(), sigma2)
+    assert len(seen) == calls
+    assert all(shape[0] <= per and shape[1:] == H.shape for shape in seen)

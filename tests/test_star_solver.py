@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from cellfree_dab import fp_core
+from cellfree_dab import fp_core, harness
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.central_solver import run_central
 from cellfree_dab.fp_core import FpState
@@ -135,17 +137,54 @@ def test_dual_update_fixed_point_and_step():
     assert np.allclose(stepped, 0.5 * 9.0 * resid)
 
 
-def test_counters_match_formulas():
-    pa = PaModel.reference()
-    cfg = desk_profile(rng_seed=6)
+def desk_star(seed: int, dbm: float | None = None, opts=None):
+    """Star DAB on desk seed ``seed``, at ``dbm`` or the default budget."""
+    power = {} if dbm is None else {"power_budget": harness.dbm_to_watt(dbm)}
+    cfg = desk_profile(rng_seed=seed, **power)
     _, ch = make_scenario(cfg)
-    rep = run_star(ch, cfg, pa, SolverOptions(max_outer=4, tol=0.0))
-    B, K = cfg.num_bs, cfg.num_ues
-    n = rep.counters["iterations"]
-    assert rep.counters["download_values"] == n * B * (2 * K * K + 2 * K)
-    assert rep.counters["upload_values"] == n * B * (2 * K * K + K)
-    assert rep.counters["total_values"] == n * B * (4 * K * K + 3 * K)
-    assert rep.trace_columns == STAR_TRACE_COLUMNS
+    return cfg, run_star(ch, cfg, PaModel.reference(), opts)
+
+
+def test_counters_match_formulas():
+    # a fixed budget of 4 iterations, and a solve that stalls at iteration 7
+    for seed, dbm, opts, stalled in (
+            (6, None, SolverOptions(max_outer=4, tol=0.0), False),
+            (1, 44, None, True)):
+        cfg, rep = desk_star(seed, dbm, opts)
+        B, K = cfg.num_bs, cfg.num_ues
+        n = rep.counters["iterations"]
+        assert n == rep.iterations == len(rep.trace) == len(
+            rep.diagnostics["consensus_residual_trace"])
+        assert rep.diagnostics["stalled"] is stalled
+        assert rep.counters["download_values"] == n * B * (2 * K * K + 2 * K)
+        assert rep.counters["upload_values"] == n * B * (2 * K * K + K)
+        assert rep.counters["total_values"] == n * B * (4 * K * K + 3 * K)
+        assert rep.trace_columns == STAR_TRACE_COLUMNS
+
+
+def test_a_retraction_that_cannot_change_the_next_iteration_ends_the_solve():
+    # desk seed 1 at 44 dBm: from iteration 7 every retraction restores the
+    # iteration's start, rho at the cap included; the solver that replayed
+    # those iterations up to max_outer=30 returned the same W and rate
+    _, rep = desk_star(1, 44)
+    assert rep.iterations == 7 and not rep.converged
+    assert rep.diagnostics["stalled"] is True
+    assert rep.trace[-1][0] == 7 and rep.trace[-1][1] == rep.trace[-2][1]
+    W = np.ascontiguousarray(rep.W)
+    assert W.shape == (2, 4, 2) and W.dtype == complex
+    assert hashlib.sha256(W.tobytes()).hexdigest() == (
+        "61c69b1ca3c95efb7301c35ae75987695d54f0c167d2416d6efd42e4f500b9dd")
+    assert repr(rep.sum_rate) == "27.766397617302175"
+
+
+def test_a_retraction_whose_sweep_raised_rho_does_not_stall():
+    # desk seed 6 at 8 dBm: every rho ends a retracted iteration at the
+    # cap, but the sweep raised some inside it, so the next one differs
+    # and converges; "every rho at the cap" would stop here wrongly
+    _, rep = desk_star(6, 8)
+    assert rep.diagnostics["rejected_iterations"] > 0
+    assert rep.iterations == 6 and rep.converged
+    assert rep.diagnostics["stalled"] is False
 
 
 def test_single_bs_matches_central():
