@@ -74,8 +74,6 @@ class Network:
                 "penalty_residuals": [
                     r for s in states
                     for r in np.ravel(local_solver.penalty_residual(s)).tolist()],
-                "ridge_fallbacks": sum(int(np.sum(s.ridge_fallbacks))
-                                       for s in states),
                 "rejected_sweeps": sum(int(np.sum(s.rejected_sweeps))
                                        for s in states),
             },

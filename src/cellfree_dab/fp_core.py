@@ -133,16 +133,6 @@ def sum_rate(inputs: MetricsInputs):
     return float(rates) if rates.ndim == 0 else rates
 
 
-def update_mu(inputs: MetricsInputs) -> np.ndarray:
-    """Optimal rate auxiliary: mu* equals the current SINDR."""
-    return sindr(inputs)
-
-
-def update_zeta(inputs: MetricsInputs, mu: np.ndarray) -> np.ndarray:
-    """Optimal quadratic-transform auxiliary for fixed mu."""
-    return _zeta(inputs, mu, _denominators(inputs)[2])
-
-
 def update_fp(inputs: MetricsInputs) -> FpState:
     """Both auxiliaries from one evaluation of the denominators."""
     signal, without_signal, full = _denominators(inputs)

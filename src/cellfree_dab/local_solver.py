@@ -31,9 +31,9 @@ before. Each lane makes exactly the moves a call on its BS alone makes, bit
 for bit: the stacked matmul, ``eigh``, ``solve``, ``einsum``, ``vecdot`` and
 last-axis sums equal their per-BS forms on the per-BS memory layouts used
 here. What differs between lanes runs lane by lane: the secular Newton, the
-R-step's singular retry, the residual guard and the sweep's reject-and-retry,
-where a lane that is done leaves and the next attempt takes the lanes still
-trying (``take`` / ``put``).
+residual guard and the sweep's reject-and-retry, where a lane that is done
+leaves and the next attempt takes the lanes still trying (``take`` /
+``put``).
 
 The R-step stationarity system is block-sparse: the gain chain only senses
 the diagonal entries of R's K diagonal blocks, and the (lagged) distortion
@@ -325,7 +325,7 @@ class Lift:
 
 
 _LANE_SCALARS = (("eta", float), ("rho", float), ("prev_residual", float),
-                 ("ridge_fallbacks", int), ("rejected_sweeps", int))
+                 ("rejected_sweeps", int))
 
 
 @dataclass
@@ -333,10 +333,10 @@ class LocalSolverState:
     """Mutable optimization state of one BS, or of a group with a lane axis.
 
     ``prev_residual`` is NaN until a sweep sets it. For a group, ``eta``,
-    ``rho``, ``prev_residual``, ``ridge_fallbacks`` and ``rejected_sweeps``
-    are arrays with one entry per lane (a scalar given at construction is
-    broadcast); for one BS they are scalars. The arrays are replaced, never
-    written in place, so a snapshot of them stays valid.
+    ``rho``, ``prev_residual`` and ``rejected_sweeps`` are arrays with one
+    entry per lane (a scalar given at construction is broadcast); for one BS
+    they are scalars. The arrays are replaced, never written in place, so a
+    snapshot of them stays valid.
     """
 
     w: np.ndarray            # ([L,] Nt K)
@@ -345,7 +345,6 @@ class LocalSolverState:
     eta: float = 0.0
     rho: float = RHO_INIT
     prev_residual: float = np.nan
-    ridge_fallbacks: int = 0
     rejected_sweeps: int = 0
 
     LANE_FIELDS = ("w", "F_abs_sq") + tuple(name for name, _ in _LANE_SCALARS)
@@ -483,24 +482,21 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
     t = 2 rho ||w||^2 + eta. In A's eigenbasis (eigenvalues d_i after the
     roundoff ridge, a_i = sum_k |(U^H c_k)_i|^2) the power of w(t) is the
     secular function p(t) = sum_i a_i / (d_i + t)^2, decreasing in t, and
-    each evaluation costs O(Nt). The eigendecompositions are stacked over
-    the lanes; each lane then finds its own multiplier (``_multiplier``).
+    each evaluation costs O(Nt). A is PSD (a congruence of the PSD channel
+    Gram, plus star's PSD consensus term), so a negative eigenvalue is
+    roundoff and the ridge only lifts d_min back to 0. The eigendecompositions
+    are stacked over the lanes; each lane then finds its own multiplier
+    (``_multiplier``).
     """
     A, C_blocks = w_subproblem_terms(state, ws, pa, star)
     lam, U = np.linalg.eigh(0.5 * (A + A.conj().mT))
     proj = U.conj().mT @ C_blocks  # ([L,] Nt, K)
     a = np.sum(np.abs(proj) ** 2, axis=-1)
     cum = np.cumsum(a, axis=-1)           # weight of the i+1 smallest d
-    shift, eta, fallbacks, zero = [], [], [], []
+    shift, eta, zero = [], [], []
     for i, (lam_i, a_i, cum_i, rho_i) in enumerate(zip(
             _rows(lam), _rows(a), _rows(cum), _lane_list(state.rho))):
-        ridge = 0.0
-        fallbacks.append(0)
-        if lam_i[0] < 0.0:
-            # chan_gram is PSD; negative eigenvalues are roundoff
-            ridge = -float(lam_i[0])
-            if lam_i[0] < -1e-12 * max(1.0, float(abs(lam_i[-1]))):
-                fallbacks[i] = 1
+        ridge = -float(lam_i[0]) if lam_i[0] < 0.0 else 0.0
         d_i = lam_i + ridge                # d_i[0] >= 0
         if cum_i[-1] == 0.0:
             zero.append(i)
@@ -509,9 +505,6 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
             t_i, eta_i = _multiplier(d_i, a_i, cum_i, rho_i, Pt)
         shift.append(d_i + t_i)
         eta.append(eta_i)
-    if any(fallbacks):
-        state.ridge_fallbacks = state.ridge_fallbacks + _lane_field(
-            fallbacks, state.ridge_fallbacks)
     state.eta = _lane_field(eta, state.eta)
     shift = np.array(shift) if lam.ndim > 1 else shift[0]   # d + t
     w = vec(U @ (-(proj / shift[..., None])))
@@ -623,25 +616,15 @@ def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho,
 
 
 def _r_diagonal(M: np.ndarray, c: np.ndarray, rho, K: int) -> np.ndarray:
-    """R's diagonal blocks r ([L,] K, Nt) from the reduced system; NaN where
-    a system is singular.
+    """R's diagonal blocks r ([L,] K, Nt) from the reduced system.
 
-    A stacked solve raises when any lane is singular; the lanes are then
-    solved one at a time, so one singular lane spoils only its own result.
+    M is PSD (a Schur product of PSD matrices, plus star's PSD consensus
+    term) and rho >= ``RHO_INIT``, so K M + rho I >= rho I is positive
+    definite; one stacked solve serves one BS and a group alike.
     """
     rho = _per_lane(rho, 2)
     lhs = K * M + rho * np.eye(M.shape[-1])
-    rhs = -c.sum(axis=-2)
-    try:
-        s = (np.linalg.solve(lhs, rhs) if rhs.ndim == 1 else
-             np.linalg.solve(lhs, rhs[..., None])[..., 0])
-    except np.linalg.LinAlgError:
-        s = np.full(rhs.shape, np.nan, dtype=complex)
-        for lane in np.ndindex(rhs.shape[:-1]):
-            try:
-                s[lane] = np.linalg.solve(lhs[lane], rhs[lane])
-            except np.linalg.LinAlgError:
-                pass
+    s = np.linalg.solve(lhs, -c.sum(axis=-2)[..., None])[..., 0]
     return -(c + np.matvec(M, s)[..., None, :]) / rho
 
 
@@ -655,39 +638,21 @@ def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
     R = w w^H - (|beta3|^2 / rho)(I_K kron conj(V3)); the result is the
     ``Lift`` (w, (|beta3|^2 / rho) conj(V3), conj(r)).
 
-    A numerically singular system bumps its lane's rho by 10x and retries
-    once before aborting with diagnostics.
+    The system is positive definite (``_r_diagonal``), so a non-finite
+    diagonal comes from non-finite or overflowing data: it raises
+    ``RuntimeError`` naming the first such lane, its rho and its |w|^2, and
+    leaves rho as it was.
     """
-    K, NtK = ws.K, state.w.shape[-1]
+    NtK = state.w.shape[-1]
     M, c, V3 = _r_system_parts(state.w, ws, pa, state.rho, state.F_abs_sq, star)
-    r = _r_diagonal(M, c, state.rho, K)
+    r = _r_diagonal(M, c, state.rho, ws.K)
     if not np.isfinite(r).all():
-        finite = np.isfinite(r.reshape(-1, NtK)).all(axis=-1)
-        bad = [i for i, ok in enumerate(finite.tolist()) if not ok]
-        rho = _lane_list(state.rho)
-        for i in bad:
-            rho[i] *= 10.0
-        state.rho = _lane_field(rho, state.rho)
-        if len(bad) == state.lanes:
-            M, c, V3 = _r_system_parts(state.w, ws, pa, state.rho,
-                                       state.F_abs_sq, star)
-            r = _r_diagonal(M, c, state.rho, K)
-        else:
-            M_bad, c_bad, V3_bad = _r_system_parts(
-                state.w[bad], ws.take(bad), pa, state.rho[bad],
-                state.F_abs_sq[bad], None if star is None else star.take(bad))
-            r, V3 = r.copy(), V3.copy()
-            r[bad] = _r_diagonal(M_bad, c_bad, state.rho[bad], K)
-            V3[bad] = V3_bad
-        finite = np.isfinite(r.reshape(-1, NtK)).all(axis=-1)
-        if not finite.all():
-            lane = int(np.argmin(finite))
-            w_lane = state.w.reshape(-1, NtK)[lane]
-            raise RuntimeError(
-                "R-step system singular after penalty bump "
-                f"(rho={_lane_list(state.rho)[lane]:g}, "
-                f"|w|^2={np.linalg.norm(w_lane) ** 2:g})"
-            )
+        lane = int(np.argmin(np.isfinite(r.reshape(-1, NtK)).all(axis=-1)))
+        raise RuntimeError(
+            f"R-step diagonal not finite in lane {lane} "
+            f"(rho={_lane_list(state.rho)[lane]:g}, "
+            f"|w|^2={np.linalg.norm(state.w.reshape(-1, NtK)[lane]) ** 2:g})"
+        )
     E = np.abs(pa.beta3) ** 2 / _per_lane(state.rho, 2) * np.conj(V3)
     state.R = Lift(u=state.w, E=E, d=np.conj(r.reshape(r.shape[:-2] + (-1,))))
     return state.R

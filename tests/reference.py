@@ -14,11 +14,13 @@ direct forms here: the single-BS objective from the beamformer, and the
 star center's aggregation objective with its gradient. So do the forms no
 solver evaluates at all: the dense Bussgang gain matrix (the solvers read
 its diagonal, ``pa_model.bussgang_gain_diag``), the full transformed
-sum-rate objective, and the w-step objective. So do the per-BS loops that
-the stacked BS axis replaced: the aggregates, the start-point scan and the
-channel's path sum, which the stacked forms equal bit for bit; and the star
-solver that sweeps its stations one at a time (``run_star_loop``), which
-star's one sweep over a lane axis of all B stations equals bit for bit.
+sum-rate objective, the w-step objective, and the FP auxiliaries' separate
+updates (``update_mu``, ``update_zeta``) that ``fp_core.update_fp`` joined
+into one evaluation. So do the per-BS loops that the stacked BS axis
+replaced: the aggregates, the start-point scan and the channel's path sum,
+which the stacked forms equal bit for bit; and the star solver that sweeps
+its stations one at a time (``run_star_loop``), which star's one sweep over
+a lane axis of all B stations equals bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from cellfree_dab import block_driver, fp_core, local_solver, metrics, star_solver
 from cellfree_dab.common import NUM_HALVINGS, SolverOptions, initial_beamformers
-from cellfree_dab.fp_core import FpState, MetricsInputs
+from cellfree_dab.fp_core import (FpState, MetricsInputs, _denominators, _zeta,
+                                  sindr)
 from cellfree_dab.local_solver import Lift, StarContext, Workspace, unvec, vec
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag, distortion_cov
 from cellfree_dab.scenario import steering_vector
@@ -189,6 +192,16 @@ def transformed_objective(inputs: MetricsInputs, fp: FpState) -> float:
         - np.abs(zeta) ** 2 * (np.sum(np.abs(inputs.Qsum) ** 2, axis=1) + inputs.psum)
     )
     return float(const + delta)
+
+
+def update_mu(inputs: MetricsInputs) -> np.ndarray:
+    """Optimal rate auxiliary: mu* equals the current SINDR."""
+    return sindr(inputs)
+
+
+def update_zeta(inputs: MetricsInputs, mu: np.ndarray) -> np.ndarray:
+    """Optimal quadratic-transform auxiliary for fixed mu."""
+    return _zeta(inputs, mu, _denominators(inputs)[2])
 
 
 def w_subproblem_objective(w: np.ndarray, A: np.ndarray, C_blocks: np.ndarray,

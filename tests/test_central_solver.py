@@ -6,6 +6,7 @@ from cellfree_dab.common import SolveMode, SolverOptions
 from cellfree_dab.central_solver import CENTRAL_TRACE_COLUMNS, run_central
 from cellfree_dab.pa_model import PaModel
 from cellfree_dab.scenario import desk_profile, make_scenario
+from reference import update_mu, update_zeta
 
 
 def test_mode_constructors():
@@ -45,8 +46,8 @@ def test_ideal_fp_fixed_point_residuals():
                       SolverOptions(max_outer=300, tol=1e-12))
     inputs = fp_core.build_metrics_inputs(ch.H, rep.W, PaModel.ideal(),
                                           cfg.sigma2)
-    mu_star = fp_core.update_mu(inputs)
-    zeta_star = fp_core.update_zeta(inputs, mu_star)
+    mu_star = update_mu(inputs)
+    zeta_star = update_zeta(inputs, mu_star)
     mu_res = np.abs(rep.fp.mu - mu_star).max() / max(1.0, np.abs(mu_star).max())
     zeta_res = (np.abs(rep.fp.zeta - zeta_star).max()
                 / max(1e-300, np.abs(zeta_star).max()))

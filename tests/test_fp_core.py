@@ -9,8 +9,6 @@ from cellfree_dab.fp_core import (
     sindr,
     sum_rate,
     update_fp,
-    update_mu,
-    update_zeta,
 )
 from cellfree_dab.pa_model import PaModel, distortion_cov
 from reference import (
@@ -18,6 +16,8 @@ from reference import (
     central_objective_star,
     local_objective_ring,
     transformed_objective,
+    update_mu,
+    update_zeta,
 )
 
 

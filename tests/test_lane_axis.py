@@ -125,9 +125,10 @@ def test_lanes_with_different_retries_match_one_bs_sweeps(monkeypatch):
         assert np.array_equal(out[0], Q) and np.array_equal(out[1], p)
 
 
-def test_a_singular_lane_retries_alone_then_names_its_penalty():
-    # a lane whose R-step system stays singular (NaN data) gets its rho
-    # bumped once and aborts the call; the error reports that lane's rho
+def test_a_nan_lane_raises_and_names_its_lane():
+    # the R-step system is positive definite, so only non-finite data gives
+    # a non-finite diagonal: the call raises, naming the first such lane with
+    # its rho, and leaves every lane's rho as it was
     rng = np.random.default_rng(6)
     L, Nt, K = 3, 3, 2
     pa = PaModel.reference()
@@ -137,9 +138,10 @@ def test_a_singular_lane_retries_alone_then_names_its_penalty():
     ws = ls.build_workspace(H, fp, Nt, K, rand_c(rng, L, K, K, scale=0.5))
     state = ls.state_from_beamformer(rand_c(rng, L, Nt, K, scale=0.3),
                                      rho=[1.0, 2.0, 3.0])
-    with pytest.raises(RuntimeError, match=r"rho=30,"):
+    with pytest.raises(RuntimeError, match=r"lane 2 \(rho=3,"):
         ls.update_R(state, ws, pa)
-    assert state.rho.tolist() == [1.0, 2.0, 30.0]
+    assert state.rho.tolist() == [1.0, 2.0, 3.0]
     one = ls.state_from_beamformer(state.W[2], rho=3.0)
-    with pytest.raises(RuntimeError, match=r"rho=30,"):
+    with pytest.raises(RuntimeError, match=r"lane 0 \(rho=3,"):
         ls.update_R(one, ls.build_workspace(H[2], fp, Nt, K), pa)
+    assert one.rho == 3.0

@@ -54,3 +54,42 @@ def test_w_step_properties(Nt, K, pt_dbm, beta3, log_rho, star, seed):
     t = 2.0 * state.rho * power + eta
     resid = ls.vec(A @ ls.unvec(w, Nt, K)) + t * w + ls.vec(C)
     assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(C)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    Nt=st.integers(1, 8),
+    K=st.integers(1, 8),
+    log_pt=st.floats(-5.0, 5.0),
+    beta3=st.sampled_from([0.0, REF_BETA3, 4.0 * REF_BETA3]),
+    log_rho=st.floats(0.0, np.log10(ls.RHO_CAP)),
+    star=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_systems_are_semidefinite(Nt, K, log_pt, beta3, log_rho, star,
+                                       seed):
+    # up to roundoff, the R-step's K M + rho I is >= rho I and the w-step's
+    # A is PSD, so neither step's solve can meet a singular system
+    rng = np.random.default_rng(seed)
+    pa = PaModel(1.0, beta3)
+    rho = 10.0 ** log_rho
+    fp = FpState(mu=rng.uniform(0.1, 2.0, K), zeta=rand_c(rng, K, scale=0.7))
+    ws = ls.build_workspace(rand_c(rng, Nt, K), fp, Nt, K,
+                            rand_c(rng, K, K, scale=0.5))
+    W0 = rand_c(rng, Nt, K)
+    state = ls.state_from_beamformer(W0 * np.sqrt(10.0 ** log_pt)
+                                     / np.linalg.norm(W0), rho=rho)
+    ctx = None
+    if star:
+        ctx = ls.StarContext(Q_C=rand_c(rng, K, K), lam=rand_c(rng, K * K),
+                             varrho=OPTS.varrho)
+
+    M, _, _ = ls._r_system_parts(state.w, ws, pa, rho, state.F_abs_sq, ctx)
+    lhs = K * M + rho * np.eye(Nt)
+    low = np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))[0]
+    assert low >= rho - 1e-12 * (rho + K * np.linalg.norm(M, 2))
+
+    ls.update_R(state, ws, pa, ctx)   # a loose lift: a complex gain diagonal
+    A, _ = ls.w_subproblem_terms(state, ws, pa, ctx)
+    lam = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    assert lam[0] >= -1e-12 * max(1.0, abs(lam[-1]))
