@@ -18,6 +18,7 @@ and the check of the token.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def setup(channels, config, pa: PaModel, initial_beamformers,
 def converged(rate: float, rate_prev: float, states, opts: SolverOptions) -> bool:
     """Pass-end test: the rate has settled and every lift is tight."""
     return (abs(rate - rate_prev) <= opts.tol * max(1.0, abs(rate_prev))
-            and max(float(np.max(local_solver.penalty_residual(s)))
+            and max(float(local_solver.penalty_residual(s).max())
                     for s in states)
             <= local_solver.PENALTY_RESID_TOL)
 
@@ -149,7 +150,7 @@ def run_blocks(net: Network, opts: SolverOptions, order, fp_period: int,
             consistency = max(consistency, np.linalg.norm(token - ref)
                               / max(np.linalg.norm(ref), 1e-300))
         rate = fp_core.sum_rate(exact)
-        if not np.isfinite(rate):
+        if not math.isfinite(rate):
             raise RuntimeError(f"non-finite sum rate at visit {t}")
         obj = local_solver.local_penalized_objective(state, ws, net.pa)
         row = (t, b, float(obj), rate, float(state.prev_residual),

@@ -103,13 +103,14 @@ def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray:
 
     Both shapes are built for all B stations at once along H's leading BS
     axis (stacked Gram, inverse and column norms). The backoffs of a shape
-    are scored in stacked calls of bounded size: a chunk of n backoffs is
-    one (n, B, Nt, K) stack of beamformers, one ``fp_core.bs_contribution``,
-    one ``fp_core.sum_contributions`` and one ``fp_core.sum_rate``. A chunk
-    holds at most ``SCAN_STACK_BYTES`` of the stations' Nt x Nt distortion
-    covariances, so memory stays O(B Nt^2). Every step equals its per-BS,
-    per-backoff form (``initial_beamformers_loop`` in ``tests/reference.py``)
-    bit for bit.
+    are aggregated in stacked calls of bounded size: a chunk of n backoffs
+    is one (n, B, Nt, K) stack of beamformers, one
+    ``fp_core.bs_contribution`` and one ``fp_core.sum_contributions``. A
+    chunk holds at most ``SCAN_STACK_BYTES`` of the stations' Nt x Nt
+    distortion covariances, so memory stays O(B Nt^2). One
+    ``fp_core.sum_rate`` then scores every chunk's aggregates at once.
+    Every step equals its per-BS, per-backoff form
+    (``initial_beamformers_loop`` in ``tests/reference.py``) bit for bit.
     """
     H = np.asarray(H)
     B, Nt, K = H.shape
@@ -122,20 +123,25 @@ def initial_beamformers(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray:
     scales = np.array([np.sqrt(0.5 ** (0.5 * half_exponent))
                        for half_exponent in range(2 * NUM_HALVINGS + 1)])
     per = max(1, SCAN_STACK_BYTES // (B * Nt * Nt * 16))
-    best_W, best_rate = None, -np.inf
-    for cand in (mf, zf):
-        W_full = np.sqrt(Pt / K) * cand
+    Qsum, psum = [], []
+    shapes = [np.sqrt(Pt / K) * cand for cand in (mf, zf)]
+    for W_full in shapes:
         for start in range(0, len(scales), per):
             stack = scales[start:start + per, None, None, None] * W_full
-            rates = fp_core.sum_rate(fp_core.sum_contributions(
-                *fp_core.bs_contribution(H, stack, pa), sigma2))
-            for W, rate in zip(stack, rates):
-                if rate > best_rate:
-                    best_W, best_rate = W, rate
-    if best_W is None:
+            inputs = fp_core.sum_contributions(
+                *fp_core.bs_contribution(H, stack, pa), sigma2)
+            Qsum.append(inputs.Qsum)
+            psum.append(inputs.psum)
+    rates = fp_core.sum_rate(fp_core.MetricsInputs(
+        Qsum=np.concatenate(Qsum), psum=np.concatenate(psum), sigma2=sigma2))
+    rates[np.isnan(rates)] = -np.inf
+    best = int(np.argmax(rates))  # the first of equal maxima
+    if rates[best] == -np.inf:
         raise RuntimeError(f"no start point scores a finite sum rate at "
                            f"Pt={Pt!r} W")
-    return best_W.copy()
+    # the winning row of its stack, formed again by the same product
+    shape, scale = divmod(best, len(scales))
+    return scales[scale, None, None, None] * shapes[shape]
 
 
 def channel_scale(H: np.ndarray) -> float:

@@ -8,8 +8,9 @@ power. Rates are in bit/s/Hz (log base 2). Denominators are floored at
 never hit the floor because noise powers are positive. Contributions, their
 sums and rates also take leading stack axes (BSs, and candidates ahead of
 them), so all B stations or a chunk of the start-point scan cost one numpy
-call per step. The full transformed objective, which the solvers never
-evaluate, is a reference in ``tests/reference.py``.
+call per step. Sums call ``np.add.reduce``, the reduction ``ndarray.sum``
+makes, without its Python wrapper. The full transformed objective, which
+the solvers never evaluate, is a reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class FpState:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
         self.zeta = np.asarray(self.zeta, dtype=complex)
-        if np.any(self.mu < 0) or not np.all(np.isfinite(self.mu)):
+        if (self.mu < 0).any() or not np.isfinite(self.mu).all():
             raise ValueError("mu must be finite and nonnegative")
 
 
@@ -72,7 +73,7 @@ def bs_contribution(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel):
         p = np.zeros(Q.shape[:-1])
     else:
         Cd = distortion_cov(W_b, pa)
-        p = np.real(np.einsum("...nk,...nm,...mk->...k", H_b.conj(), Cd, H_b))
+        p = np.einsum("...nk,...nm,...mk->...k", H_b.conj(), Cd, H_b).real
     return Q, p
 
 
@@ -102,7 +103,7 @@ def build_metrics_inputs(H, W, pa: PaModel, sigma2) -> MetricsInputs:
 
 def _diagonal(Qsum: np.ndarray) -> np.ndarray:
     """Per-UE signal entries of one aggregate (K,) or of a stack (..., K)."""
-    return np.diagonal(Qsum, axis1=-2, axis2=-1)
+    return Qsum.diagonal(0, -2, -1)
 
 
 def _denominators(inputs: MetricsInputs):
@@ -111,7 +112,7 @@ def _denominators(inputs: MetricsInputs):
     Each is per UE; a stack of aggregates gives stacks.
     """
     power = np.abs(inputs.Qsum) ** 2
-    total = power.sum(axis=-1) + inputs.psum + inputs.sigma2
+    total = np.add.reduce(power, axis=-1) + inputs.psum + inputs.sigma2
     signal = np.abs(_diagonal(inputs.Qsum)) ** 2
     return (signal, np.maximum(total - signal, DENOM_FLOOR),
             np.maximum(total, DENOM_FLOOR))
@@ -129,7 +130,7 @@ def sindr(inputs: MetricsInputs) -> np.ndarray:
 
 def sum_rate(inputs: MetricsInputs):
     """Sum rate of one aggregate, a float; of a (n, K, K) stack, n rates."""
-    rates = np.sum(np.log2(1.0 + sindr(inputs)), axis=-1)
+    rates = np.add.reduce(np.log2(1.0 + sindr(inputs)), axis=-1)
     return float(rates) if rates.ndim == 0 else rates
 
 

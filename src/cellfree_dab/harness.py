@@ -4,7 +4,8 @@ Every experiment is a deterministic function of (config JSON, seed): trial
 seeds derive from the config seed and the trial index, trials run one after
 another on the calling thread, rows are written sorted by task key, and the
 manifest records the config hash so a rerun can be verified byte-for-byte
-(manifest timestamp aside).
+(manifest timestamp aside). Each (value, trial) is drawn once per run: its
+config and read-only channels are shared by every solver and mode.
 """
 
 from __future__ import annotations
@@ -46,10 +47,17 @@ class ExperimentSpec:
     output_dir: str | Path = "out"
     pa: PaModel = field(default_factory=PaModel.reference)
     opts: SolverOptions = field(default_factory=SolverOptions)
+    # (value, config, {trial: channels}) of the value being run; see _draw
+    _draws: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if (isinstance(self.trials, bool)
+                or not isinstance(self.trials, (int, np.integer))
+                or self.trials < 1):
+            raise ValueError(f"trials must be an integer >= 1, "
+                             f"got {self.trials!r}")
+        self.trials = int(self.trials)  # the manifest's JSON takes no np.int64
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown:
             raise ValueError(f"unknown solvers {sorted(unknown)}")
@@ -107,10 +115,29 @@ def _worker_count() -> int:
     return 1
 
 
+def _draw(spec: ExperimentSpec, value, trial: int):
+    """The config of ``value`` and the channels of (value, trial).
+
+    Both are made once and kept in ``spec._draws`` for the value being run,
+    so the tasks of a trial share one draw; the grid visits a value's tasks
+    together, so a new value replaces the memo. The channel arrays are made
+    read-only, as every solver and mode reads the same ones.
+    """
+    if spec._draws is None or spec._draws[0] != value:
+        config = config_for_value(spec.scenario, spec.sweep_var, value)
+        spec._draws = (value, config, {})
+    _, config, drawn = spec._draws
+    if trial not in drawn:
+        _, channels = scenario.make_scenario(
+            config, seed=trial_seed(config.rng_seed, trial))
+        channels.H.flags.writeable = False
+        channels.alpha.flags.writeable = False
+        drawn[trial] = channels
+    return config, drawn[trial]
+
+
 def _one_task(spec: ExperimentSpec, value, solver: str, tag: str, trial: int):
-    config = config_for_value(spec.scenario, spec.sweep_var, value)
-    _, channels = scenario.make_scenario(
-        config, seed=trial_seed(config.rng_seed, trial))
+    config, channels = _draw(spec, value, trial)
     mode = SolveMode.from_tag(tag, spec.pa)
     row = {
         "value": value if spec.sweep_var is not None else "",
@@ -149,6 +176,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         for tag in spec.modes
         for trial in range(spec.trials)
     ]
+    spec._draws = None  # a replaced ``scenario`` must draw again
     results = {task: _one_task(spec, *task) for task in tasks}
 
     summary_path = out / "summary.csv"

@@ -33,7 +33,8 @@ last-axis sums equal their per-BS forms on the per-BS memory layouts used
 here. What differs between lanes runs lane by lane: the secular Newton, the
 residual guard and the sweep's reject-and-retry, where a lane that is done
 leaves and the next attempt takes the lanes still trying (``take`` /
-``put``).
+``put``). Sums call ``np.add.reduce``, the reduction ``ndarray.sum`` makes,
+without its Python wrapper: a visit makes dozens of them.
 
 The R-step stationarity system is block-sparse: the gain chain only senses
 the diagonal entries of R's K diagonal blocks, and the (lagged) distortion
@@ -252,7 +253,8 @@ class Lift:
 
     def diag_sum(self) -> np.ndarray:
         """Sum of the diagonals of R's K diagonal blocks, shape ([L,] Nt)."""
-        return self.d.reshape(self.d.shape[:-1] + (-1, self.Nt)).sum(axis=-2)
+        return np.add.reduce(self.d.reshape(self.d.shape[:-1] + (-1, self.Nt)),
+                             axis=-2)
 
     def block_sum(self) -> np.ndarray:
         """F, the sum of R's K diagonal Nt x Nt blocks (read-only)."""
@@ -491,7 +493,7 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
     A, C_blocks = w_subproblem_terms(state, ws, pa, star)
     lam, U = np.linalg.eigh(0.5 * (A + A.conj().mT))
     proj = U.conj().mT @ C_blocks  # ([L,] Nt, K)
-    a = np.sum(np.abs(proj) ** 2, axis=-1)
+    a = np.add.reduce(np.abs(proj) ** 2, axis=-1)
     cum = np.cumsum(a, axis=-1)           # weight of the i+1 smallest d
     shift, eta, zero = [], [], []
     for i, (lam_i, a_i, cum_i, rho_i) in enumerate(zip(
@@ -534,7 +536,7 @@ def _multiplier(d, a, cum, rho: float, Pt: float):
         """p(t) = ||w(t)||^2 and q(t) = -p'(t) / 2."""
         inv = 1.0 / (d + t)
         ai = a * inv * inv
-        return float(ai.sum()), float((ai * inv).sum())
+        return float(np.add.reduce(ai)), float(np.add.reduce(ai * inv))
 
     def interior(t: float):
         p, q = secular(t)
@@ -599,7 +601,8 @@ def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho,
 
     c1 = 2.0 * np.conj(pa.beta1) * b3 * (P @ np.ones(Nt))
     u = ws.linear_coeff
-    c2 = b3 * (np.conj(u) * w).reshape(w.shape[:-1] + (K, Nt)).sum(axis=-2)
+    c2 = b3 * np.add.reduce(
+        (np.conj(u) * w).reshape(w.shape[:-1] + (K, Nt)), axis=-2)
     V3 = np.asarray(F_abs_sq) * ws.chan_gram.mT
     c3 = np.abs(b3) ** 2 * V3.diagonal(0, -2, -1)
     c_block = c1 + c2 + c3
@@ -624,7 +627,7 @@ def _r_diagonal(M: np.ndarray, c: np.ndarray, rho, K: int) -> np.ndarray:
     """
     rho = _per_lane(rho, 2)
     lhs = K * M + rho * np.eye(M.shape[-1])
-    s = np.linalg.solve(lhs, -c.sum(axis=-2)[..., None])[..., 0]
+    s = np.linalg.solve(lhs, -np.add.reduce(c, axis=-2)[..., None])[..., 0]
     return -(c + np.matvec(M, s)[..., None, :]) / rho
 
 
@@ -672,12 +675,12 @@ def r_objective(w: np.ndarray, g: np.ndarray, F: np.ndarray, resid_sq,
     """
     Wm = unvec(w, ws.Nt, ws.K)
     GW = g[..., :, None] * Wm
-    f1 = np.real(np.einsum("...nj,...nm,...mj->...", GW.conj(), ws.chan_gram, GW))
+    f1 = np.einsum("...nj,...nm,...mj->...", GW.conj(), ws.chan_gram, GW).real
     u = unvec(ws.linear_coeff, ws.Nt, ws.K)
-    f2 = np.real(np.add.reduce(u.conj() * GW, axis=(-2, -1)))
+    f2 = np.add.reduce(u.conj() * GW, axis=(-2, -1)).real
     V3 = np.asarray(F_abs_sq) * ws.chan_gram.mT
-    f3 = 2.0 * np.abs(pa.beta3) ** 2 * np.real(
-        np.add.reduce(F * V3, axis=(-2, -1)))
+    f3 = 2.0 * np.abs(pa.beta3) ** 2 * np.add.reduce(
+        F * V3, axis=(-2, -1)).real
     total = f1 + f2 + f3 + rho * resid_sq
     if star is not None:
         m = vec(ws.H.conj().mT @ GW)

@@ -43,7 +43,7 @@ def bussgang_gain_diag(W: np.ndarray, pa: PaModel) -> np.ndarray:
 
     ``W`` is (..., Nt, K); leading axes (one per BS) are kept.
     """
-    q = np.sum(np.abs(np.asarray(W)) ** 2, axis=-1)
+    q = np.add.reduce(np.abs(np.asarray(W)) ** 2, axis=-1)
     return pa.beta1 + 2.0 * pa.beta3 * q
 
 

@@ -16,6 +16,8 @@ ring and central solvers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import block_driver, fp_core, local_solver, metrics
@@ -150,7 +152,7 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
 
         resid = consensus_residual(Q_C, Q_L)
         residual_trace.append(resid)
-        if not np.isfinite(rate):
+        if not math.isfinite(rate):
             raise RuntimeError(f"non-finite sum rate at iteration {it}")
         download, upload, total = metrics.overhead_star(B, K, it)
         trace.append((it, rate, resid, download, upload))

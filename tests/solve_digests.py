@@ -15,10 +15,12 @@ on two checkouts and ``diff`` the outputs: a refactor that claims bit-for-bit
 results must print the same lines. The shapes are the desk profile (seeds
 0-5, at 8 and 44 dBm), the paper's full profile, the 16-station network and
 the 64-antenna, 12-UE array. After the solves it prints one line per file
-that ``cellfree-dab convergence --trials 2`` and ``cellfree-dab sweep --var pt
---values 8,44 --trials 2`` write, with ``manifest.json`` digested without its
-timestamp, so one ``diff`` also checks the CLI outputs byte for byte. The file
-is not a test module; pytest does not collect it.
+that ``cellfree-dab convergence --trials 2``, ``cellfree-dab sweep --var pt
+--values 8,44 --trials 2`` and ``cellfree-dab sweep --var bs --values 1,2
+--trials 2`` (a sweep whose network shape changes with the value) write, with
+``manifest.json`` digested without its timestamp, so one ``diff`` also checks
+the CLI outputs byte for byte. The file is not a test module; pytest does not
+collect it.
 
 ``--drop KEY`` (repeatable) digests the counters and diagnostics without the
 named keys. A change that removes a report key shows that nothing else moved
@@ -54,6 +56,7 @@ MODES = ("DAB", "DUB", "IDEAL")
 COMMANDS = {
     "convergence": ["convergence", "--trials", "2"],
     "sweep": ["sweep", "--var", "pt", "--values", "8,44", "--trials", "2"],
+    "sweep_bs": ["sweep", "--var", "bs", "--values", "1,2", "--trials", "2"],
 }
 
 

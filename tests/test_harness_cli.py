@@ -68,6 +68,12 @@ def test_spec_validation():
         ExperimentSpec(sweep_var="pt", sweep_values=(3.0, 2.0))
     with pytest.raises(ValueError):
         ExperimentSpec(sweep_var="foo", sweep_values=(1.0,))
+    # trials=2.5 used to pass and die in range() after the output directory
+    # was made; trials=True ran one trial
+    for trials in (2.5, True, 1.0, "2", None):
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentSpec(trials=trials)
+    assert type(ExperimentSpec(trials=np.int64(2)).trials) is int
 
 
 @pytest.mark.parametrize("field,value", [
@@ -210,6 +216,81 @@ def test_tasks_run_inline_in_grid_order(tmp_path, monkeypatch):
     assert [c[1:] for c in calls] == [
         (value, solver, "DUB", trial) for value in (30.0, 38.0)
         for solver in ("star", "central") for trial in (0, 1)]
+
+
+def _count_draws(monkeypatch):
+    """Count make_scenario calls (their num_bs) and config_for_value calls."""
+    from cellfree_dab import harness, scenario
+
+    draws, configs = [], []
+    real_make, real_config = scenario.make_scenario, harness.config_for_value
+
+    def make_scenario(config, seed=None):
+        draws.append(config.num_bs)
+        return real_make(config, seed=seed)
+
+    def config_for_value(base, var, value):
+        configs.append(value)
+        return real_config(base, var, value)
+
+    monkeypatch.setattr(scenario, "make_scenario", make_scenario)
+    monkeypatch.setattr(harness, "config_for_value", config_for_value)
+    return draws, configs
+
+
+def test_each_trial_is_drawn_once(tmp_path, monkeypatch):
+    spec = ExperimentSpec(scenario=desk_profile(rng_seed=2), sweep_var="pt",
+                          sweep_values=(30.0, 38.0), trials=2,
+                          output_dir=tmp_path, opts=SolverOptions(max_outer=1))
+    draws, configs = _count_draws(monkeypatch)
+    run_experiment(spec)
+    # 3 solvers x 3 modes share each (value, trial): 4 draws, not 36
+    assert len(draws) == 4
+    assert configs == [30.0, 38.0]
+
+
+def test_shape_sweep_draws_each_value_with_its_shape(tmp_path, monkeypatch):
+    spec = ExperimentSpec(scenario=desk_profile(rng_seed=2),
+                          solvers=("ring", "central"), modes=("DAB", "DUB"),
+                          sweep_var="bs", sweep_values=(1, 2), trials=2,
+                          output_dir=tmp_path, opts=FAST_OPTS)
+    draws, _ = _count_draws(monkeypatch)
+    run_experiment(spec)
+    assert draws == [1, 1, 2, 2]
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        assert all(row["status"] == "ok" for row in csv.DictReader(fh))
+
+
+def test_rerun_after_new_scenario_draws_again(tmp_path, monkeypatch):
+    spec = ExperimentSpec(scenario=desk_profile(rng_seed=2), solvers=("ring",),
+                          modes=("DAB",), trials=1, output_dir=tmp_path / "a",
+                          opts=FAST_OPTS)
+    draws, _ = _count_draws(monkeypatch)
+    run_experiment(spec)
+    first = (tmp_path / "a" / "summary.csv").read_bytes()
+    spec.scenario = desk_profile(rng_seed=2, num_bs=3)
+    spec.output_dir = tmp_path / "b"
+    run_experiment(spec)
+    assert draws == [2, 3]
+    assert (tmp_path / "b" / "summary.csv").read_bytes() != first
+
+
+def test_shared_channels_are_read_only(tmp_path, monkeypatch):
+    from cellfree_dab import harness
+
+    seen = []
+
+    def writes_channels(name, channels, config, mode, opts):
+        seen.append(channels)
+        channels.H[0, 0, 0] = 0.0
+
+    monkeypatch.setattr(harness, "run_solver", writes_channels)
+    spec = ExperimentSpec(scenario=desk_profile(rng_seed=2), solvers=("ring",),
+                          modes=("DAB",), trials=1, output_dir=tmp_path,
+                          opts=FAST_OPTS)
+    with pytest.raises(ValueError, match="read-only"):
+        run_experiment(spec)
+    assert not seen[0].alpha.flags.writeable
 
 
 def test_unexpected_error_ends_the_run_at_once(tmp_path, monkeypatch):
