@@ -7,8 +7,8 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,17 +61,15 @@ def _load_config(args) -> SystemConfig:
             cfg = SystemConfig.from_json(fh.read())
     else:
         cfg = desk_profile()
-    doc = json.loads(cfg.to_json())
     if args.seed is not None:
-        doc["rng_seed"] = args.seed
-    return SystemConfig.from_json(json.dumps(doc))
+        cfg = replace(cfg, rng_seed=args.seed)
+    return cfg
 
 
 def _add_common(sub):
     sub.add_argument("--config", help="scenario JSON file")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default="out")
-    sub.add_argument("--trials", type=int, default=20)
     sub.add_argument("--solver", choices=[*SOLVERS, "all"], default="all")
     sub.add_argument("--mode", choices=[*MODE_TAGS, "all"], default="all")
 
@@ -91,9 +89,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("convergence", help="per-iteration solver traces")
     _add_common(p)
+    p.add_argument("--trials", type=int, default=20)
 
     p = sub.add_parser("sweep", help="sum-rate sweeps over pt/bs/nt")
     _add_common(p)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--var", choices=["pt", "bs", "nt"], required=True)
     p.add_argument("--values", required=True,
                    help='"start:step:stop" or comma list (pt in dBm)')

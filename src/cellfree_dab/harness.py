@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,15 +86,13 @@ def trial_seed(base_seed: int, trial: int) -> np.random.SeedSequence:
 
 
 def config_for_value(base: SystemConfig, var: str | None, value) -> SystemConfig:
-    doc = json.loads(base.to_json())
     if var == "pt":
-        doc["power_budget"] = dbm_to_watt(float(value))
-    elif var == "bs":
-        doc["num_bs"] = int(value)
-        doc["bs_positions"] = None
-    elif var == "nt":
-        doc["num_antennas"] = int(value)
-    return SystemConfig.from_json(json.dumps(doc))
+        return replace(base, power_budget=dbm_to_watt(float(value)))
+    if var == "bs":
+        return replace(base, num_bs=int(value), bs_positions=None)
+    if var == "nt":
+        return replace(base, num_antennas=int(value))
+    return replace(base)
 
 
 def run_solver(name: str, channels, config: SystemConfig, mode: SolveMode,

@@ -42,9 +42,10 @@ chain only the diagonal blocks. Its diagonal part is 1 1^T kron M with one
 Nt x Nt block M, so ``update_R`` solves a single Nt x Nt system for the sum
 of the diagonal's K blocks and writes every other entry in closed form. R is
 kept in that structured form (``Lift``) and read only through it, so a visit
-costs O(Nt^3 + Nt^2 K) time and O(Nt^2 + Nt K) memory per BS; the
-(Nt K)^2 dense reference (expansion, stationarity system, objective,
-lifting matrix) lives in ``tests/reference.py``.
+costs O(Nt^3 + Nt^2 K) time and O(Nt^2 + Nt K) memory per BS. The penalty
+||R - w w^H||^2 is read only at the w the lift was solved at, so the lift
+answers it there alone. The (Nt K)^2 dense reference (expansion, stationarity
+system, objective, lifting matrix) lives in ``tests/reference.py``.
 
 The penalty coefficient rho follows one fixed schedule. A BS starts at
 ``RHO_INIT``; a visit multiplies rho by ``RHO_GROWTH`` when its relative
@@ -224,9 +225,10 @@ class Lift:
     Hermitian matrices, because that projection would move rates. States
     share a Lift by reference (sweep and star snapshots), so its arrays are
     never written. That makes two reads safe to compute once per Lift: the
-    block sum F (returned read-only) and the tight-lift distance
-    ||R - u u^H||^2, which every penalty-residual read of a solver state
-    asks for, since a state's w is its lift's u.
+    block sum F (returned read-only) and the penalty distance
+    ||R - u u^H||^2. The distance is answered at u only: a solver state's
+    w is its lift's u whenever the penalty is read (``LocalSolverState``
+    checks it), so a read at another point would serve no solve.
     """
 
     u: np.ndarray   # ([L,] Nt K)
@@ -276,47 +278,17 @@ class Lift:
              - vec(Eo.conj().mT @ Wm))
         return x + (self.d.conj() - self.u * self.u.conj()) * w
 
-    def distance_sq(self, w: np.ndarray):
-        """||R - w w^H||_F^2; ||R||_F^2 at w = 0."""
-        if w is self.u:
-            return self._tight_distance_sq
-        return self._distance_sq(w)
+    def distance_sq(self):
+        """||R - u u^H||_F^2, the penalty at the lift's own beamformer."""
+        return self._distance_sq
 
     @cached_property
-    def _tight_distance_sq(self):
-        return self._distance_sq(self.u)
-
-    def _distance_sq(self, w: np.ndarray):
+    def _distance_sq(self):
         Eo = _off_diagonal(self.E)
-        # the off-diagonal of I_K kron E
-        off = self.K * np.vecdot(_flat(Eo), _flat(Eo)).real
-        if w is not self.u:
-            off = self._off_moved(off, w, Eo)
-        dd = self.d - w * w.conj()
-        return np.maximum(off, 0.0) + np.vecdot(dd, dd).real
-
-    def _off_moved(self, off, w: np.ndarray, Eo: np.ndarray):
-        """The off-diagonal part ``off`` of ||R - u u^H||^2 moved to w.
-
-        u u^H - w w^H = L = w delta^H + delta u^H: add ||L||^2 and
-        -2 Re <L, I_K kron Eo>, less L's diagonal, in the lanes where w
-        differs from u.
-        """
-        Nt, K = self.Nt, self.K
-        delta = self.u - w
-        moved = delta.any(axis=-1)
-        if not moved.any():
-            return off
-        U, D = unvec(self.u, Nt, K), unvec(delta, Nt, K)
-        nd = np.vecdot(delta, delta).real
-        L_sq = (nd * (np.vecdot(w, w).real + np.vecdot(self.u, self.u).real)
-                + 2.0 * np.real(np.vecdot(w, delta) * np.vecdot(self.u, delta)))
-        cross = (np.vecdot(_flat(unvec(w, Nt, K)), _flat(Eo @ D))
-                 + np.vecdot(_flat(D), _flat(Eo @ U)))
-        L_diag = w * delta.conj() + delta * self.u.conj()
-        moved_off = off + (L_sq - 2.0 * cross.real
-                           - np.vecdot(L_diag, L_diag).real)
-        return moved_off if moved.all() else np.where(moved, moved_off, off)
+        # the off-diagonal of I_K kron E, plus the diagonal's deviation
+        dd = self.d - self.u * self.u.conj()
+        return (self.K * np.vecdot(_flat(Eo), _flat(Eo)).real
+                + np.vecdot(dd, dd).real)
 
     def skew_sq(self):
         """||R - R^H||_F^2; the u u^H part is Hermitian and drops out."""
@@ -338,7 +310,9 @@ class LocalSolverState:
     ``rho``, ``prev_residual`` and ``rejected_sweeps`` are arrays with one
     entry per lane (a scalar given at construction is broadcast); for one BS
     they are scalars. The arrays are replaced, never written in place, so a
-    snapshot of them stays valid.
+    snapshot of them stays valid. ``R`` is the lift solved at ``w``
+    (``R.u is w``, checked here); only the w-step breaks that, until its
+    R-step.
     """
 
     w: np.ndarray            # ([L,] Nt K)
@@ -352,6 +326,8 @@ class LocalSolverState:
     LANE_FIELDS = ("w", "F_abs_sq") + tuple(name for name, _ in _LANE_SCALARS)
 
     def __post_init__(self):
+        if self.R.u is not self.w:
+            raise ValueError("R must be the lift solved at w (R.u is w)")
         lanes = self.w.shape[:-1]
         for name, kind in _LANE_SCALARS:
             value = getattr(self, name)
@@ -694,7 +670,7 @@ def local_penalized_objective(state: LocalSolverState, ws: Workspace,
     R = state.R
     F = R.block_sum()
     return r_objective(state.w, gain_diag_from_R(R, pa), F,
-                       R.distance_sq(state.w), ws, pa, state.rho,
+                       R.distance_sq(), ws, pa, state.rho,
                        np.abs(F) ** 2, star)
 
 
@@ -717,12 +693,15 @@ def true_local_objective(contribution, ws: Workspace,
 def penalty_residual(state: LocalSolverState):
     """||R - w w^H||_F / ||w w^H||_F."""
     denom = np.maximum(np.vecdot(state.w, state.w).real, 1e-300)
-    return np.sqrt(state.R.distance_sq(state.w)) / denom
+    return np.sqrt(state.R.distance_sq()) / denom
 
 
 def hermitian_deviation(R: Lift):
-    """||R - R^H||_F / ||R||_F."""
-    denom = np.maximum(np.sqrt(R.distance_sq(np.zeros_like(R.u))), 1e-300)
+    """||R - R^H||_F / ||R||_F, ||R||^2 being ||R - u u^H||^2 - ||u||^4
+    + 2 Re(u^H R u)."""
+    R_sq = (R.distance_sq() - np.vecdot(R.u, R.u).real ** 2
+            + 2.0 * np.vecdot(R.rmatvec(R.u), R.u).real)
+    denom = np.maximum(np.sqrt(np.maximum(R_sq, 0.0)), 1e-300)
     return np.sqrt(R.skew_sq()) / denom
 
 

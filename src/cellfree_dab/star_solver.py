@@ -48,8 +48,7 @@ def aggregate(Q_L, lam, fp: FpState, varrho: float) -> np.ndarray:
     """
     Q_L = np.asarray(Q_L, dtype=complex)
     B, K, _ = Q_L.shape
-    lam_m = np.stack([local_solver.unvec(l, K, K) for l in np.asarray(lam)])
-    V = Q_L - lam_m / varrho
+    V = Q_L - local_solver.unvec(lam, K, K) / varrho
     Vsum = V.sum(axis=0)
     zeta, mu = fp.zeta, fp.mu
     aw = np.abs(zeta) ** 2

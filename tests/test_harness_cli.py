@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cellfree_dab.central_solver import run_central
-from cellfree_dab.cli import _parse_values, cli_main
+from cellfree_dab.cli import _parse_values, build_parser, cli_main
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.harness import (
     ExperimentSpec,
@@ -48,6 +48,18 @@ def test_config_for_value():
     assert cfg.num_bs == 3
     cfg = config_for_value(base, "nt", 8)
     assert cfg.num_antennas == 8
+
+    # every field the value does not name is carried over as it is
+    base = desk_profile(sigma2=[2e-23, 3e-23], carrier_freq=60e9,
+                        bs_positions=[(-50.0, 0.0), (50.0, 10.0)])
+    cfg = config_for_value(base, "pt", 20.0)
+    assert cfg.power_budget == dbm_to_watt(20.0)
+    assert cfg.sigma2.tolist() == [2e-23, 3e-23]
+    assert cfg.carrier_freq == 60e9
+    assert cfg.antenna_spacing == base.antenna_spacing
+    assert cfg.bs_positions == [(-50.0, 0.0), (50.0, 10.0)]
+    assert config_for_value(base, "bs", 3).bs_positions is None
+    assert base.power_budget == desk_profile().power_budget
 
 
 def test_trial_seeds_distinct_and_stable():
@@ -324,6 +336,15 @@ class TestCli:
 
     def test_no_subcommand_exits_1(self):
         assert cli_main([]) == 1
+
+    def test_trials_only_where_trials_run(self, capsys):
+        # beampattern always solves trial 0, so it takes no --trials
+        assert cli_main(["beampattern", "--trials", "3"]) == 1
+        assert "unrecognized arguments: --trials" in capsys.readouterr().err
+        parser = build_parser()
+        for argv in (["convergence", "--trials", "3"],
+                     ["sweep", "--var", "pt", "--values", "8", "--trials", "3"]):
+            assert parser.parse_args(argv).trials == 3
 
     def test_bad_args_exit_1(self):
         assert cli_main(["overhead", "--K", "6"]) == 1

@@ -10,6 +10,7 @@ stationarity solve.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from cellfree_dab import local_solver as ls
 import reference as ref
@@ -51,7 +52,8 @@ def check_reads(state, ws, pa, ctx):
     assert close(ls.lagged_factor(R), np.abs(F) ** 2)
     assert close(R.rmatvec(w), D.conj().T @ w)
     Wt = np.outer(w, w.conj())
-    assert close(R.distance_sq(w), np.linalg.norm(D - Wt) ** 2)
+    assert R.u is w
+    assert close(R.distance_sq(), np.linalg.norm(D - Wt) ** 2)
     assert close(ls.penalty_residual(state),
                  np.linalg.norm(D - Wt) / np.linalg.norm(Wt))
     assert close(ls.hermitian_deviation(R),
@@ -80,10 +82,12 @@ def test_lift_reads_match_dense_expansion():
             assert close(ref.expand(R), R_dense, 1e-8)
         check_reads(state, ws, pa, ctx)          # the R-step's lift
 
-        # a beamformer other than the one the lift was solved at
-        other = ls.LocalSolverState(w=rand_c(rng, Nt * K, scale=0.7), R=R,
-                                    F_abs_sq=lag, rho=rho)
-        check_reads(other, ws, pa, ctx)
+        # a beamformer other than the one the lift was solved at: R^H w
+        # is read there (the w-step does), but no state pairs the two
+        other = rand_c(rng, Nt * K, scale=0.7)
+        assert close(R.rmatvec(other), ref.expand(R).conj().T @ other)
+        with pytest.raises(ValueError, match="solved at w"):
+            ls.LocalSolverState(w=other, R=R, F_abs_sq=lag, rho=rho)
 
         ls.sweep(state, ws, pa, 1.0, ctx)
         check_reads(state, ws, pa, ctx)

@@ -3,8 +3,10 @@
 A visited BS's contribution (Q_b, p_b) is what the sweep's safeguard
 judges, what the solvers' caches hold and what the star dual reads, so the
 sweep builds it once per attempted move and hands the final one back. The
-lift's block sum and tight-lift distance are memoized on the immutable
-``Lift``. These tests pin both down against from-scratch computations.
+lift's block sum and penalty distance are memoized on the immutable
+``Lift``, and the distance is read only at the lift's own beamformer.
+These tests pin all three down, the reads against from-scratch
+computations.
 """
 
 import numpy as np
@@ -15,8 +17,9 @@ from cellfree_dab import ring_solver, star_solver
 import reference as ref
 from cellfree_dab.common import SolverOptions
 from cellfree_dab.fp_core import FpState
+from cellfree_dab.harness import dbm_to_watt
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag
-from cellfree_dab.scenario import desk_profile, make_scenario
+from cellfree_dab.scenario import desk_profile, full_profile, make_scenario
 
 
 def rand_c(rng, *shape, scale=1.0):
@@ -120,7 +123,8 @@ def test_memoized_lift_reads_match_a_fresh_lift():
             assert not F.flags.writeable
             assert np.array_equal(F, fresh.block_sum())
             assert np.array_equal(ls.lagged_factor(R), ls.lagged_factor(fresh))
-            assert R.distance_sq(state.w) == fresh.distance_sq(state.w.copy())
+            assert R.u is state.w
+            assert R.distance_sq() == fresh.distance_sq()
             twin = ls.LocalSolverState(w=state.w, R=fresh,
                                        F_abs_sq=state.F_abs_sq, rho=state.rho)
             assert ls.penalty_residual(state) == ls.penalty_residual(twin)
@@ -134,6 +138,46 @@ SOLVES = {
     "central": central_solver.run_central,
     "star": star_solver.run_star,
 }
+
+PROFILES = {
+    "desk_8dBm": lambda: desk_profile(rng_seed=1, power_budget=dbm_to_watt(8.0)),
+    "desk_44dBm": lambda: desk_profile(rng_seed=1,
+                                       power_budget=dbm_to_watt(44.0)),
+    "full": lambda: full_profile(rng_seed=1),
+}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("solver", sorted(SOLVES))
+def test_penalty_is_read_at_the_lift_beamformer(solver, profile, monkeypatch):
+    """Every penalty read of a solve sees a state whose w is its lift's u,
+    the one point ``Lift.distance_sq`` answers at."""
+    calls = {"penalty_residual": 0, "local_penalized_objective": 0}
+
+    def at_own_u(name, fn):
+        def wrapper(state, *args, **kwargs):
+            assert state.R.u is state.w
+            calls[name] += 1
+            return fn(state, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ls, name, at_own_u(name, getattr(ls, name)))
+    cfg = PROFILES[profile]()
+    _, ch = make_scenario(cfg)
+    SOLVES[solver](ch, cfg, PaModel.reference(), SolverOptions())
+    assert calls["penalty_residual"] > 0
+    assert (calls["local_penalized_objective"] > 0) == (solver != "star")
+
+
+def test_state_rejects_a_lift_of_another_beamformer():
+    rng = np.random.default_rng(92)
+    Nt, K = 3, 2
+    state = ls.state_from_beamformer(rand_c(rng, Nt, K))
+    assert state.R.u is state.w
+    for w in (rand_c(rng, Nt * K), state.w.copy()):
+        with pytest.raises(ValueError, match="solved at w"):
+            ls.LocalSolverState(w=w, R=state.R, F_abs_sq=state.F_abs_sq)
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVES))
