@@ -15,7 +15,8 @@ the distortion covariance Cd(R) linear objects:
     evaluations.
   * R-step: the cubic distortion term is linearized by lagging the
     element-wise |F|^2 factor, after which the objective is a strongly convex
-    quadratic in R whose stationarity system is solved exactly.
+    quadratic in R whose stationarity system is solved exactly. The lag is
+    the step's input, read once per attempt of a ``sweep``.
 
 Everything a visit needs from the surrounding network is carried by
 ``Workspace`` (channel, FP weights, interference backprojection) and the
@@ -23,18 +24,19 @@ optional ``StarContext`` (consensus copy, dual, and its penalty).
 
 The engine moves one BS, or a group of BSs at once: every array may carry a
 leading lane axis, one lane per BS (``Workspace``, ``StarContext``,
-``Lift`` and ``LocalSolverState`` alike; a state's per-BS scalars ``eta``,
-``rho``, ``prev_residual`` and its counters are then arrays over the
-lanes). Star moves its B stations in one call; ring and central move one
-station per call, without the axis, because each visit there reads the one
-before. Each lane makes exactly the moves a call on its BS alone makes, bit
-for bit: the stacked matmul, ``eigh``, ``solve``, ``einsum``, ``vecdot`` and
-last-axis sums equal their per-BS forms on the per-BS memory layouts used
-here. What differs between lanes runs lane by lane: the secular Newton, the
-residual guard and the sweep's reject-and-retry, where a lane that is done
-leaves and the next attempt takes the lanes still trying (``take`` /
-``put``). Sums call ``np.add.reduce``, the reduction ``ndarray.sum`` makes,
-without its Python wrapper: a visit makes dozens of them.
+``Lift`` and ``LocalSolverState`` alike; a state's per-BS scalars ``rho``,
+``prev_residual`` and ``rejected_sweeps`` are then arrays over the lanes).
+Star moves its B stations in one call; ring and central move one station
+per call, without the axis, because each visit there reads the one before.
+Each lane makes exactly the moves a call on its BS alone makes, bit for bit:
+the stacked matmul, ``eigh``, ``solve``, ``einsum``, ``vecdot`` and last-axis
+sums equal their per-BS forms on the per-BS memory layouts used here. What
+differs between lanes runs lane by lane: the secular Newton, the rho rules
+and the sweep's reject-and-retry, where a lane that is done leaves and the
+next attempt takes the lanes still trying (``take`` / ``put``); the residual
+guard re-solves every lane of an attempt in place (``_guard``). Sums call
+``np.add.reduce``, the reduction ``ndarray.sum`` makes, without its Python
+wrapper: a visit makes dozens of them.
 
 The R-step stationarity system is block-sparse: the gain chain only senses
 the diagonal entries of R's K diagonal blocks, and the (lagged) distortion
@@ -200,24 +202,17 @@ class StarContext:
                            varrho=self.varrho)
 
 
-def _off_diagonal(E: np.ndarray) -> np.ndarray:
-    """E with its diagonal set to zero."""
-    E = E.copy()
-    _set_diagonal(E, 0.0)
-    return E
-
-
 @dataclass(frozen=True)
 class Lift:
     """Lifted copy R of w w^H: R = u u^H - (I_K kron E), diagonal replaced by d.
 
     This is the form of the R-step's exact minimizer: u is the beamformer the
-    step was solved at, E = (|beta3|^2 / rho) conj(V3), and d is the solved
-    diagonal; the tight lift w w^H is ``rank_one(w)``. The arrays may carry
-    a leading lane axis. The solver reads R only through the methods below,
-    each O(Nt^2 K), so the (Nt K)^2 matrix is never formed (``expand`` in
-    ``tests/reference.py`` builds it). E's own diagonal is not part of R and
-    is never read.
+    step was solved at, E = (|beta3|^2 / rho) conj(V3) with a zero diagonal
+    (d takes its place in R, so the reads use E as stored), and d is the
+    solved diagonal; the tight lift w w^H is ``rank_one(w)``. The arrays may
+    carry a leading lane axis. The solver reads R only through the methods
+    below, each O(Nt^2 K), so the (Nt K)^2 matrix is never formed
+    (``expand`` in ``tests/reference.py`` builds it).
 
     R is an unconstrained complex matrix. With a complex beta3 the solved
     diagonal d is complex, so R is not Hermitian (``hermitian_deviation``
@@ -232,7 +227,7 @@ class Lift:
     """
 
     u: np.ndarray   # ([L,] Nt K)
-    E: np.ndarray   # ([L,] Nt, Nt)
+    E: np.ndarray   # ([L,] Nt, Nt), zero diagonal
     d: np.ndarray   # ([L,] Nt K)
 
     @classmethod
@@ -248,10 +243,6 @@ class Lift:
     @property
     def K(self) -> int:
         return self.u.shape[-1] // self.E.shape[-1]
-
-    def take(self, lanes, u: np.ndarray) -> "Lift":
-        """The lift of the lanes ``lanes``, solved at ``u`` (their u)."""
-        return Lift(u=u, E=self.E[lanes], d=self.d[lanes])
 
     def diag_sum(self) -> np.ndarray:
         """Sum of the diagonals of R's K diagonal blocks, shape ([L,] Nt)."""
@@ -272,10 +263,9 @@ class Lift:
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """R^H w."""
-        Eo = _off_diagonal(self.E)
         Wm = unvec(w, self.Nt, self.K)
         x = (self.u * np.vecdot(self.u, w)[..., None]
-             - vec(Eo.conj().mT @ Wm))
+             - vec(self.E.conj().mT @ Wm))
         return x + (self.d.conj() - self.u * self.u.conj()) * w
 
     def distance_sq(self):
@@ -284,21 +274,19 @@ class Lift:
 
     @cached_property
     def _distance_sq(self):
-        Eo = _off_diagonal(self.E)
-        # the off-diagonal of I_K kron E, plus the diagonal's deviation
+        # I_K kron E (zero on the diagonal), plus the diagonal's deviation
         dd = self.d - self.u * self.u.conj()
-        return (self.K * np.vecdot(_flat(Eo), _flat(Eo)).real
+        return (self.K * np.vecdot(_flat(self.E), _flat(self.E)).real
                 + np.vecdot(dd, dd).real)
 
     def skew_sq(self):
         """||R - R^H||_F^2; the u u^H part is Hermitian and drops out."""
-        Eo = _off_diagonal(self.E)
-        S = _flat(Eo - Eo.conj().mT)
+        S = _flat(self.E - self.E.conj().mT)
         return (self.K * np.vecdot(S, S).real
                 + 4.0 * np.sum(self.d.imag ** 2, axis=-1))
 
 
-_LANE_SCALARS = (("eta", float), ("rho", float), ("prev_residual", float),
+_LANE_SCALARS = (("rho", float), ("prev_residual", float),
                  ("rejected_sweeps", int))
 
 
@@ -306,24 +294,23 @@ _LANE_SCALARS = (("eta", float), ("rho", float), ("prev_residual", float),
 class LocalSolverState:
     """Mutable optimization state of one BS, or of a group with a lane axis.
 
-    ``prev_residual`` is NaN until a sweep sets it. For a group, ``eta``,
-    ``rho``, ``prev_residual`` and ``rejected_sweeps`` are arrays with one
-    entry per lane (a scalar given at construction is broadcast); for one BS
-    they are scalars. The arrays are replaced, never written in place, so a
-    snapshot of them stays valid. ``R`` is the lift solved at ``w``
+    It keeps only what a later step reads: not the w-step's multiplier, nor
+    the R-step's lag. ``prev_residual`` is NaN until a sweep sets it. For a
+    group, ``rho``, ``prev_residual`` and ``rejected_sweeps`` are arrays with
+    one entry per lane (a scalar given at construction is broadcast); for one
+    BS they are scalars. The arrays are replaced, never written in place, so
+    a snapshot of them stays valid. ``R`` is the lift solved at ``w``
     (``R.u is w``, checked here); only the w-step breaks that, until its
     R-step.
     """
 
     w: np.ndarray            # ([L,] Nt K)
     R: Lift
-    F_abs_sq: np.ndarray     # ([L,] Nt, Nt) lagged |F|^2 factor
-    eta: float = 0.0
     rho: float = RHO_INIT
     prev_residual: float = np.nan
     rejected_sweeps: int = 0
 
-    LANE_FIELDS = ("w", "F_abs_sq") + tuple(name for name, _ in _LANE_SCALARS)
+    LANE_FIELDS = ("w",) + tuple(name for name, _ in _LANE_SCALARS)
 
     def __post_init__(self):
         if self.R.u is not self.w:
@@ -342,8 +329,7 @@ class LocalSolverState:
 
     @property
     def W(self) -> np.ndarray:
-        Nt = self.F_abs_sq.shape[-1]
-        return unvec(self.w, Nt, self.w.shape[-1] // Nt)
+        return unvec(self.w, self.R.Nt, self.R.K)
 
     def take(self, lanes) -> "LocalSolverState":
         """The state of the lanes ``lanes`` (an index list), as a new state.
@@ -354,7 +340,7 @@ class LocalSolverState:
         sub = copy.copy(self)
         for name in self.LANE_FIELDS:
             setattr(sub, name, getattr(self, name)[lanes])
-        sub.R = self.R.take(lanes, sub.w)
+        sub.R = Lift(u=sub.w, E=self.R.E[lanes], d=self.R.d[lanes])
         return sub
 
     def put(self, lanes, sub: "LocalSolverState") -> None:
@@ -368,13 +354,11 @@ class LocalSolverState:
         self.R = Lift(u=self.w, E=E, d=d)
 
 
-def state_from_beamformer(W0: np.ndarray,
-                          rho: float = RHO_INIT) -> LocalSolverState:
-    """Tight-lift state of W0, (Nt, K) for one BS or (L, Nt, K) for a group."""
+def state_from_beamformer(W0: np.ndarray, rho=RHO_INIT) -> LocalSolverState:
+    """Tight-lift state of W0, (Nt, K) or (L, Nt, K); rho may be one per lane."""
     W0 = np.asarray(W0)
     w0 = vec(W0)
-    R0 = Lift.rank_one(w0, W0.shape[-2])
-    return LocalSolverState(w=w0, R=R0, F_abs_sq=lagged_factor(R0), rho=rho)
+    return LocalSolverState(w=w0, R=Lift.rank_one(w0, W0.shape[-2]), rho=rho)
 
 
 def gain_diag_from_R(R: Lift, pa: PaModel) -> np.ndarray:
@@ -464,7 +448,8 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
     Gram, plus star's PSD consensus term), so a negative eigenvalue is
     roundoff and the ridge only lifts d_min back to 0. The eigendecompositions
     are stacked over the lanes; each lane then finds its own multiplier
-    (``_multiplier``).
+    (``_multiplier``). The new w goes to ``state.w``; eta is returned, a
+    float for one BS or an array over the lanes.
     """
     A, C_blocks = w_subproblem_terms(state, ws, pa, star)
     lam, U = np.linalg.eigh(0.5 * (A + A.conj().mT))
@@ -483,13 +468,12 @@ def update_w(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
             t_i, eta_i = _multiplier(d_i, a_i, cum_i, rho_i, Pt)
         shift.append(d_i + t_i)
         eta.append(eta_i)
-    state.eta = _lane_field(eta, state.eta)
     shift = np.array(shift) if lam.ndim > 1 else shift[0]   # d + t
     w = vec(U @ (-(proj / shift[..., None])))
     if zero:
         w.reshape(-1, w.shape[-1])[zero] = 0.0
     state.w = w
-    return state.w
+    return np.array(eta) if lam.ndim > 1 else eta[0]
 
 
 def _multiplier(d, a, cum, rho: float, Pt: float):
@@ -559,7 +543,7 @@ def _multiplier(d, a, cum, rho: float, Pt: float):
 # ---------------------------------------------------------------------------
 
 def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho,
-                    F_abs_sq: np.ndarray, star: StarContext | None = None):
+                    lag: np.ndarray, star: StarContext | None = None):
     """Reduced stationarity data of the R-step.
 
     Returns (M, c, V3). The Nt*K diagonal entries of R decouple from the
@@ -579,7 +563,7 @@ def _r_system_parts(w: np.ndarray, ws: Workspace, pa: PaModel, rho,
     u = ws.linear_coeff
     c2 = b3 * np.add.reduce(
         (np.conj(u) * w).reshape(w.shape[:-1] + (K, Nt)), axis=-2)
-    V3 = np.asarray(F_abs_sq) * ws.chan_gram.mT
+    V3 = np.asarray(lag) * ws.chan_gram.mT
     c3 = np.abs(b3) ** 2 * V3.diagonal(0, -2, -1)
     c_block = c1 + c2 + c3
     if star is not None:
@@ -608,14 +592,16 @@ def _r_diagonal(M: np.ndarray, c: np.ndarray, rho, K: int) -> np.ndarray:
 
 
 def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
-             star: StarContext | None = None) -> Lift:
-    """Exact minimizer of the (lagged) R-step objective.
+             lag: np.ndarray, star: StarContext | None = None) -> Lift:
+    """Exact minimizer of the R-step objective, the distortion linearized at
+    ``lag`` (the |F|^2 factor of the lift the sweep's attempt started at).
 
     Summing the K block rows of the diagonal system gives one Nt x Nt solve
     for the block sum s = sum_k r_k, (K M + rho I) s = -sum_k c_k, and then
     r_k = -(c_k + M s) / rho. The off-diagonal entries are
     R = w w^H - (|beta3|^2 / rho)(I_K kron conj(V3)); the result is the
-    ``Lift`` (w, (|beta3|^2 / rho) conj(V3), conj(r)).
+    ``Lift`` (w, E, conj(r)), E being (|beta3|^2 / rho) conj(V3) with its
+    diagonal set to zero.
 
     The system is positive definite (``_r_diagonal``), so a non-finite
     diagonal comes from non-finite or overflowing data: it raises
@@ -623,7 +609,7 @@ def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
     leaves rho as it was.
     """
     NtK = state.w.shape[-1]
-    M, c, V3 = _r_system_parts(state.w, ws, pa, state.rho, state.F_abs_sq, star)
+    M, c, V3 = _r_system_parts(state.w, ws, pa, state.rho, lag, star)
     r = _r_diagonal(M, c, state.rho, ws.K)
     if not np.isfinite(r).all():
         lane = int(np.argmin(np.isfinite(r.reshape(-1, NtK)).all(axis=-1)))
@@ -633,6 +619,7 @@ def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
             f"|w|^2={np.linalg.norm(state.w.reshape(-1, NtK)[lane]) ** 2:g})"
         )
     E = np.abs(pa.beta3) ** 2 / _per_lane(state.rho, 2) * np.conj(V3)
+    _set_diagonal(E, 0.0)
     state.R = Lift(u=state.w, E=E, d=np.conj(r.reshape(r.shape[:-2] + (-1,))))
     return state.R
 
@@ -642,19 +629,19 @@ def update_R(state: LocalSolverState, ws: Workspace, pa: PaModel,
 # ---------------------------------------------------------------------------
 
 def r_objective(w: np.ndarray, g: np.ndarray, F: np.ndarray, resid_sq,
-                ws: Workspace, pa: PaModel, rho, F_abs_sq: np.ndarray,
+                ws: Workspace, pa: PaModel, rho, lag: np.ndarray,
                 star: StarContext | None = None):
     """R-step objective from what it reads of R.
 
     ``g`` is the gain diagonal G(R), ``F`` the block sum of R and
-    ``resid_sq`` the penalty ||R - w w^H||_F^2; ``F_abs_sq`` is the lag.
+    ``resid_sq`` the penalty ||R - w w^H||_F^2; ``lag`` is the |F|^2 lag.
     """
     Wm = unvec(w, ws.Nt, ws.K)
     GW = g[..., :, None] * Wm
     f1 = np.einsum("...nj,...nm,...mj->...", GW.conj(), ws.chan_gram, GW).real
     u = unvec(ws.linear_coeff, ws.Nt, ws.K)
     f2 = np.add.reduce(u.conj() * GW, axis=(-2, -1)).real
-    V3 = np.asarray(F_abs_sq) * ws.chan_gram.mT
+    V3 = np.asarray(lag) * ws.chan_gram.mT
     f3 = 2.0 * np.abs(pa.beta3) ** 2 * np.add.reduce(
         F * V3, axis=(-2, -1)).real
     total = f1 + f2 + f3 + rho * resid_sq
@@ -720,32 +707,32 @@ def _lanes(state: LocalSolverState, ws: Workspace, star: StarContext | None,
 
 
 def _guard(state: LocalSolverState, ws: Workspace, pa: PaModel,
-           star: StarContext | None) -> None:
+           lag: np.ndarray, star: StarContext | None) -> None:
     """Trust-region guard: stiffen and re-solve R while a lane's residual
     exceeds ``RESIDUAL_GUARD`` and its rho is below the cap.
 
     The lagged distortion model is only valid near w w^H, and a runaway R
-    feeds back through the lag into divergence. Each round re-solves the
-    lanes still guarded in one ``update_R`` call.
+    feeds back through the lag into divergence. Each round raises rho ten
+    times on the guarded lanes and re-solves every lane in one ``update_R``
+    call, in place. A lane whose rho did not move solves the system it
+    solved last (same w, rho, lag and workspace), and its lanes of the
+    stacked solve are its own, so it gets the same lift back, bit for bit.
     """
-    guarded, sub = list(range(state.lanes)), state
     while True:
-        resid, rho = _lane_list(penalty_residual(sub)), _lane_list(sub.rho)
-        if sub is not state:
-            state.put(guarded, sub)
-        guarded = [i for i, r, rh in zip(guarded, resid, rho)
+        resid, rho = _lane_list(penalty_residual(state)), _lane_list(state.rho)
+        guarded = [i for i, (r, rh) in enumerate(zip(resid, rho))
                    if r > RESIDUAL_GUARD and rh < RHO_CAP]
         if not guarded:
             return
-        sub, sub_ws, sub_star = _lanes(state, ws, star, guarded)
-        sub.rho = _lane_field([min(rh * 10.0, RHO_CAP)
-                               for rh in _lane_list(sub.rho)], sub.rho)
-        update_R(sub, sub_ws, pa, sub_star)
+        for i in guarded:
+            rho[i] = min(rho[i] * 10.0, RHO_CAP)
+        state.rho = _lane_field(rho, state.rho)
+        update_R(state, ws, pa, lag, star)
 
 
 def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
           star: StarContext | None = None, contribution=None):
-    """One (w-step, lag refresh, R-step) round with an ascent safeguard.
+    """One (lag, w-step, R-step) round with an ascent safeguard.
 
     A move that worsens the true (lift-free) local objective is rolled back
     and the penalty coefficient grown, shrinking the next step. Without it
@@ -758,7 +745,8 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
     ``update_w`` call and one stacked contribution over the lanes still
     trying. A lane leaves when its move is accepted or when it is rejected
     at ``RHO_CAP``. The accept test and the rho schedule are scalar steps,
-    taken lane by lane.
+    taken lane by lane. Each attempt reads the lag from the lift it starts
+    at, once, for its R-step and its guard.
 
     ``contribution`` is the (Q_b, p_b) at the entry beamformer, as
     ``fp_core.bs_contribution(ws.H, state.W, pa)`` returns it (computed here
@@ -769,16 +757,16 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
         contribution = fp_core.bs_contribution(ws.H, state.W, pa)
     bound = [obj + 1e-10 * max(1.0, abs(obj)) for obj in
              _lane_list(true_local_objective(contribution, ws, star))]
-    entry = (state.w, state.eta)
+    entry = state.w
     accepted = [False] * state.lanes
     out = contribution
     trying = list(range(state.lanes))
     while trying:
         cur, cur_ws, cur_star = _lanes(state, ws, star, trying)
+        lag = lagged_factor(cur.R)
         update_w(cur, cur_ws, pa, Pt, cur_star)
-        cur.F_abs_sq = lagged_factor(cur.R)
-        update_R(cur, cur_ws, pa, cur_star)
-        _guard(cur, cur_ws, pa, cur_star)
+        update_R(cur, cur_ws, pa, lag, cur_star)
+        _guard(cur, cur_ws, pa, lag, cur_star)
         moved = fp_core.bs_contribution(cur_ws.H, cur.W, pa)
         ok = [obj <= bound[i] for i, obj in zip(
             trying, _lane_list(true_local_objective(moved, cur_ws, cur_star)))]
@@ -796,8 +784,8 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
             # lift onto it (a stale loose R would bias the next step toward
             # its own direction, the harder the stiffer the penalty), then
             # retry with a stiffer penalty
-            _roll_back(cur, [not k for k in ok], *(
-                entry if cur is state else (entry[0][trying], entry[1][trying])))
+            _roll_back(cur, [not k for k in ok],
+                       entry if cur is state else entry[trying])
         if cur is not state:
             state.put(trying, cur)
         rho = _lane_list(state.rho)
@@ -824,18 +812,16 @@ def sweep(state: LocalSolverState, ws: Workspace, pa: PaModel, Pt: float,
 
 
 def _roll_back(state: LocalSolverState, rejected: list,
-               w_entry: np.ndarray, eta_entry) -> None:
+               w_entry: np.ndarray) -> None:
     """Put the ``rejected`` lanes back at their entry beamformer, tight lift.
 
-    When every lane is rejected the entry arrays themselves are restored.
+    When every lane is rejected the entry array itself is restored.
     """
     lanes = [i for i, r in enumerate(rejected) if r]
     whole = len(lanes) == state.lanes
     back = state if whole else state.take(lanes)
-    back.w, back.eta = ((w_entry, eta_entry) if whole else
-                        (w_entry[lanes], eta_entry[lanes]))
-    back.R = Lift.rank_one(back.w, back.F_abs_sq.shape[-1])
-    back.F_abs_sq = lagged_factor(back.R)
+    back.w = w_entry if whole else w_entry[lanes]
+    back.R = Lift.rank_one(back.w, back.R.Nt)
     back.rejected_sweeps = back.rejected_sweeps + 1
     if not whole:
         state.put(lanes, back)

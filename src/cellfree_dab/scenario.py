@@ -9,17 +9,20 @@ as each runner owns its own generator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 SPEED_OF_LIGHT = 2.998e8  # m/s, fixed project-wide
 
 
-def _positive(x) -> bool:
-    """Every entry of ``x`` is finite and > 0."""
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(np.isfinite(x) & (x > 0)))
+def _finite(x, shape=()) -> np.ndarray | None:
+    """``x`` as floats when it is finite numbers of ``shape``, else None."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return x if x.shape == shape and np.isfinite(x).all() else None
 
 
 @dataclass
@@ -49,7 +52,11 @@ class SystemConfig:
 
     def __post_init__(self):
         self._validate_integers()
-        sigma2 = np.asarray(self.sigma2, dtype=float)
+        try:
+            sigma2 = np.asarray(self.sigma2, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"sigma2 must be numbers, got {self.sigma2!r}"
+                             ) from None
         if sigma2.ndim > 1 or sigma2.size not in (1, self.num_ues):
             raise ValueError(f"sigma2 must be one value or num_ues="
                              f"{self.num_ues} values, got shape {sigma2.shape}")
@@ -70,19 +77,30 @@ class SystemConfig:
     def validate(self):
         """Raise ``ValueError`` on numbers no solve can use, NaN and inf too."""
         self._validate_integers()
-        if not _positive(self.power_budget):
-            raise ValueError("power_budget must be finite and positive")
-        if not _positive(self.sigma2):
-            raise ValueError("noise powers must be finite and positive")
-        if not _positive(self.carrier_freq):
-            raise ValueError("carrier_freq must be finite and positive")
-        if self.antenna_spacing is not None and not _positive(self.antenna_spacing):
-            raise ValueError("antenna_spacing must be finite and positive")
-        if self.ref_distance <= 0:
-            raise ValueError("ref_distance must be positive")
-        lo, hi = self.nlos_exponent_range
-        if lo > hi:
-            raise ValueError("nlos_exponent_range must be ordered [low, high]")
+        positive = ["power_budget", "carrier_freq", "ref_distance"]
+        if self.antenna_spacing is not None:
+            positive.append("antenna_spacing")
+        for name in positive:
+            x = _finite(getattr(self, name))
+            if x is None or x <= 0:
+                raise ValueError(f"{name} must be finite and positive")
+        x = _finite(self.sigma2, (self.num_ues,))
+        if x is None or (x <= 0).any():
+            raise ValueError("sigma2 noise powers must be finite and positive")
+        x = _finite(self.ue_area_radius)
+        if x is None or x < 0:
+            raise ValueError("ue_area_radius must be finite and >= 0")
+        for name in ("los_exponent", "pathloss_ref_db"):
+            if _finite(getattr(self, name)) is None:
+                raise ValueError(f"{name} must be finite")
+        x = _finite(self.nlos_exponent_range, (2,))
+        if x is None or x[0] > x[1]:
+            raise ValueError("nlos_exponent_range must be two finite numbers "
+                             "[low, high] with low <= high")
+        if (self.bs_positions is not None
+                and _finite(self.bs_positions, (self.num_bs, 2)) is None):
+            raise ValueError(f"bs_positions must be num_bs={self.num_bs} "
+                             f"finite (x, y) pairs")
 
     def to_json(self) -> str:
         doc = asdict(self)
@@ -91,11 +109,20 @@ class SystemConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SystemConfig":
+        """The config a JSON object describes; ``ValueError`` for any other
+        document, an unknown key, or a value ``validate`` rejects."""
         doc = json.loads(text)
-        if "nlos_exponent_range" in doc:
-            doc["nlos_exponent_range"] = tuple(doc["nlos_exponent_range"])
-        if doc.get("bs_positions") is not None:
-            doc["bs_positions"] = [tuple(p) for p in doc["bs_positions"]]
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, got "
+                             f"{type(doc).__name__}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        nlos, bs = doc.get("nlos_exponent_range"), doc.get("bs_positions")
+        if isinstance(nlos, list):
+            doc["nlos_exponent_range"] = tuple(nlos)
+        if isinstance(bs, list) and all(isinstance(p, list) for p in bs):
+            doc["bs_positions"] = [tuple(p) for p in bs]
         return cls(**doc)
 
 

@@ -119,7 +119,7 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
 
     for it in range(1, opts.max_outer + 1):
         snapshot = (
-            [(s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual) for s in states],
+            [(s.w, s.R, s.prev_residual) for s in states],
             lam.copy(), Q_L.copy(), p_L.copy(), Q_C.copy(), fp,
         )
         rho_start = [np.copy(s.rho) for s in states]
@@ -140,7 +140,7 @@ def run_star(channels: ChannelSet, config: SystemConfig, pa: PaModel,
             # the driver's cache, so they are restored in place)
             saved_states, lam, Q_L[:], p_L[:], Q_C, fp = snapshot
             for s, vals in zip(states, saved_states):
-                s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual = vals
+                s.w, s.R, s.prev_residual = vals
                 s.rho = np.minimum(s.rho * 10.0, local_solver.RHO_CAP)
             rejected_iterations += 1
             rate = rate_prev

@@ -26,7 +26,9 @@ Profiles, with the design amplifier ``PaModel.reference()``:
 * ``full``: ``full_profile()``, 30 passes (the benchmark's paper_full);
 * ``desk``: ``desk_profile()`` at 44 dBm, default options (the point of
   the benchmark's desk_sweep);
-* ``wide``: ``full_profile(num_bs=16)``, 4 passes (its wide_network).
+* ``wide``: ``full_profile(num_bs=16)``, 4 passes (its wide_network);
+* ``large``: ``full_profile(num_antennas=64, num_ues=12)``, 2 passes (its
+  large_array), the largest Nt x Nt R-step and lift.
 
 The file is not a test module; pytest does not collect it.
 """
@@ -69,6 +71,9 @@ def profile_case(tree, profile: str):
     if profile == "wide":
         return (scenario.full_profile(num_bs=16),
                 common.SolverOptions(max_outer=4))
+    if profile == "large":
+        return (scenario.full_profile(num_antennas=64, num_ues=12),
+                common.SolverOptions(max_outer=2))
     raise ValueError(f"unknown profile {profile!r}")
 
 
@@ -85,7 +90,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--profile", choices=("full", "desk", "wide"),
+    parser.add_argument("--profile", choices=("full", "desk", "wide", "large"),
                         default="full")
     parser.add_argument("--reps", type=int, default=20)
     args = parser.parse_args(argv)

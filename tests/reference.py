@@ -75,11 +75,11 @@ def dense_gain(R: np.ndarray, pa: PaModel, Nt: int, K: int) -> np.ndarray:
     return np.diag(dense_gain_diag(R, pa, Nt, K))
 
 
-def dense_distortion(R: np.ndarray, F_abs_sq: np.ndarray, pa: PaModel,
+def dense_distortion(R: np.ndarray, lag: np.ndarray, pa: PaModel,
                      Nt: int, K: int) -> np.ndarray:
     """Distortion covariance, linear in R given the lagged |F|^2 factor."""
     F = dense_block_sum(R, Nt, K)
-    return 2.0 * np.abs(pa.beta3) ** 2 * (F * np.asarray(F_abs_sq))
+    return 2.0 * np.abs(pa.beta3) ** 2 * (F * np.asarray(lag))
 
 
 def block_sum_selector(Nt: int, K: int) -> np.ndarray:
@@ -135,7 +135,7 @@ def zeta_block_diag(ws: Workspace) -> np.ndarray:
 
 
 def build_r_system(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
-                   F_abs_sq: np.ndarray, star: StarContext | None = None):
+                   lag: np.ndarray, star: StarContext | None = None):
     """Dense stationarity system (C_R, c_R) over vec(conj(R)).
 
     The returned pair satisfies (C_R + rho I) vec(conj(R*)) = -c_R at the
@@ -143,7 +143,7 @@ def build_r_system(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
     """
     Nt, K = ws.Nt, ws.K
     N = Nt * K
-    M, c, V3 = local_solver._r_system_parts(w, ws, pa, rho, F_abs_sq, star)
+    M, c, V3 = local_solver._r_system_parts(w, ws, pa, rho, lag, star)
     C_R = np.zeros((N * N, N * N), dtype=complex)
     pos = np.arange(N) * (N + 1)
     C_R[np.ix_(pos, pos)] = np.kron(np.ones((K, K)), M)
@@ -155,23 +155,23 @@ def build_r_system(w: np.ndarray, ws: Workspace, pa: PaModel, rho: float,
     return C_R, c_R
 
 
-def solve_r_dense(w, ws, pa, rho, F_abs_sq, star=None) -> np.ndarray:
+def solve_r_dense(w, ws, pa, rho, lag, star=None) -> np.ndarray:
     """Solve the dense stationarity system for the dense R."""
     N = ws.Nt * ws.K
-    C_R, c_R = build_r_system(w, ws, pa, rho, F_abs_sq, star)
+    C_R, c_R = build_r_system(w, ws, pa, rho, lag, star)
     r_conj = np.linalg.solve(C_R + rho * np.eye(N * N), -c_R)
     return np.conj(unvec(r_conj, N, N))
 
 
 def r_subproblem_objective(w: np.ndarray, R: np.ndarray, ws: Workspace,
-                           pa: PaModel, rho: float, F_abs_sq: np.ndarray,
+                           pa: PaModel, rho: float, lag: np.ndarray,
                            star: StarContext | None = None) -> float:
     """Real value of the R-step objective at (w, dense R) with the given lag."""
     Nt, K = ws.Nt, ws.K
     resid_sq = float(np.linalg.norm(R - np.outer(w, w.conj())) ** 2)
     return local_solver.r_objective(
         w, dense_gain_diag(R, pa, Nt, K), dense_block_sum(R, Nt, K), resid_sq,
-        ws, pa, rho, F_abs_sq, star,
+        ws, pa, rho, lag, star,
     )
 
 
@@ -342,7 +342,7 @@ def run_star_loop(channels, config, pa: PaModel, opts=None):
     residual_trace = []
     for it in range(1, opts.max_outer + 1):
         snapshot = (
-            [(s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual) for s in states],
+            [(s.w, s.R, s.prev_residual) for s in states],
             lam.copy(), Q_L.copy(), p_L.copy(), Q_C.copy(), fp,
         )
         rho_start = [s.rho for s in states]
@@ -360,7 +360,7 @@ def run_star_loop(channels, config, pa: PaModel, opts=None):
         if rate < rate_prev - 1e-9 * max(1.0, abs(rate_prev)):
             saved_states, lam, Q_L[:], p_L[:], Q_C, fp = snapshot
             for s, vals in zip(states, saved_states):
-                s.w, s.R, s.F_abs_sq, s.eta, s.prev_residual = vals
+                s.w, s.R, s.prev_residual = vals
                 s.rho = min(s.rho * 10.0, local_solver.RHO_CAP)
             rejected_iterations += 1
             rate = rate_prev

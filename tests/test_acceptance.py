@@ -155,7 +155,8 @@ def test_criterion_02_w_step_oracle():
                                              rho=float(rng.uniform(0.5, 3.0)))
             A, C = ls.w_subproblem_terms(state, ws, pa)
             rho = state.rho
-            w = ls.update_w(state, ws, pa, Pt)
+            ls.update_w(state, ws, pa, Pt)
+            w = state.w
             assert np.linalg.norm(w) ** 2 <= Pt * (1 + 1e-9)
             cases.append((w, A, C, rho))
 
@@ -196,8 +197,8 @@ def test_criterion_03_r_step_stationarity():
             w = rand_c(rng, N, scale=0.7)
             rho = float(rng.uniform(0.5, 3.0))
             state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=rho)
-            lag = state.F_abs_sq
-            R = ref.expand(ls.update_R(state, ws, pa))
+            lag = ls.lagged_factor(state.R)
+            R = ref.expand(ls.update_R(state, ws, pa, lag))
 
             def obj(Rm):
                 return ref.r_subproblem_objective(w, Rm, ws, pa, rho, lag)

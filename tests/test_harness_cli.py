@@ -426,6 +426,31 @@ class TestCli:
         assert f"error: {field} must be" in err
         assert not (tmp_path / "o" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("doc,field", [
+        ('{"bogus": 1}', "bogus"),
+        ("[1, 2]", "JSON object"),
+        ('{"nlos_exponent_range": 5}', "nlos_exponent_range"),
+        ('{"ref_distance": "x"}', "ref_distance"),
+        ('{"nlos_exponent_range": [3.0, NaN]}', "nlos_exponent_range"),
+        ('{"los_exponent": NaN}', "los_exponent"),
+        ('{"ref_distance": NaN}', "ref_distance"),
+        ('{"pathloss_ref_db": Infinity}', "pathloss_ref_db"),
+        ('{"ue_area_radius": -5}', "ue_area_radius"),
+        ('{"num_bs": 2, "bs_positions": [[0.0, 0.0]]}', "bs_positions"),
+        ('{"sigma2": {}}', "sigma2"), ('{"sigma2": -1}', "sigma2")])
+    def test_malformed_config_exits_1_naming_the_field(self, doc, field,
+                                                        tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(doc)
+        code = cli_main(["convergence", "--config", str(cfg_path),
+                         "--trials", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") and field in line
+                   for line in err.splitlines()), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_roundtrip_through_cli(self, tmp_path):
         cfg = desk_profile(rng_seed=9)
         cfg_path = tmp_path / "cfg.json"

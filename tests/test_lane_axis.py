@@ -66,15 +66,23 @@ def test_batched_star_equals_the_loop_when_iterations_are_retracted():
 
 def test_lanes_with_different_retries_match_one_bs_sweeps(monkeypatch):
     """Lane l's moves are rejected ``retries[l]`` times before one is
-    accepted; lane 3 is rejected until it rolls back at ``RHO_CAP``."""
+    accepted; lane 3 is rejected until it rolls back at ``RHO_CAP``. Lane 4
+    starts at a rho so low that its lift overshoots ``RESIDUAL_GUARD``: the
+    guard re-solves every lane while it stiffens lane 4 alone."""
     rng = np.random.default_rng(5)
-    L, Nt, K, Pt = 4, 3, 2, 1.0
+    L, Nt, K, Pt = 5, 3, 2, 1.0
     pa = PaModel.reference()
     fp = FpState(mu=rng.uniform(0.1, 2.0, K), zeta=rand_c(rng, K, scale=0.7))
-    H, Q_other = rand_c(rng, L, Nt, K), rand_c(rng, L, K, K, scale=0.5)
-    Q_C, lam = rand_c(rng, L, K, K), rand_c(rng, L, K * K)
-    W0 = rand_c(rng, L, Nt, K, scale=0.3)
-    retries = [0, 1, 3, 99]
+    H, Q_other = rand_c(rng, 4, Nt, K), rand_c(rng, 4, K, K, scale=0.5)
+    Q_C, lam = rand_c(rng, 4, K, K), rand_c(rng, 4, K * K)
+    W0 = rand_c(rng, 4, Nt, K, scale=0.3)
+    # lane 4 is drawn after lanes 0-3
+    H, Q_other, Q_C, lam, W0 = (
+        np.concatenate([x, rand_c(rng, 1, *x.shape[1:], scale=scale)])
+        for x, scale in ((H, 1.0), (Q_other, 0.5), (Q_C, 1.0), (lam, 1.0),
+                         (W0, 0.3)))
+    retries = [0, 1, 3, 99, 2]
+    rho0 = [ls.RHO_INIT] * 4 + [1e-3]
     lane_of = {H_l.tobytes(): lane for lane, H_l in enumerate(H)}
     calls = {}
     objective = ls.true_local_objective
@@ -90,15 +98,32 @@ def test_lanes_with_different_retries_match_one_bs_sweeps(monkeypatch):
                 val[j] += 1e6
         return val if ws.H.ndim == 3 else val[0]
 
+    solves = []
+    update_w, update_R = ls.update_w, ls.update_R
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            solves.append(name)
+            return fn(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(ls, "true_local_objective", judged)
+    monkeypatch.setattr(ls, "update_w", counted("w", update_w))
+    monkeypatch.setattr(ls, "update_R", counted("R", update_R))
     for star in (False, True):
         ws = ls.build_workspace(H, fp, Nt, K, Q_other)
         ctx = ls.StarContext(Q_C=Q_C, lam=lam, varrho=10.0) if star else None
-        batched = ls.state_from_beamformer(W0)
-        alone = [ls.state_from_beamformer(W0[l]) for l in range(L)]
+        batched = ls.state_from_beamformer(W0, rho=rho0)
+        alone = [ls.state_from_beamformer(W0[l], rho=rho0[l])
+                 for l in range(L)]
+        guard_rounds = 0
         for _ in range(3):
             calls.clear()
+            solves.clear()
             out = ls.sweep(batched, ws, pa, Pt, ctx)
+            # each update_R call past the one after each update_w is a
+            # round of the guard
+            guard_rounds += solves.count("R") - solves.count("w")
             for l, state in enumerate(alone):
                 calls.clear()
                 one = ls.sweep(
@@ -115,6 +140,7 @@ def test_lanes_with_different_retries_match_one_bs_sweeps(monkeypatch):
                 for name in ("u", "E", "d"):
                     assert np.array_equal(getattr(batched.R, name)[l],
                                           getattr(state.R, name)), name
+        assert guard_rounds >= 1
         # lane 3: six bumps take rho from 1 to the cap, one more rejection
         # there ends the first sweep; each later sweep is rejected once
         rejected = batched.rejected_sweeps.tolist()
@@ -139,9 +165,10 @@ def test_a_nan_lane_raises_and_names_its_lane():
     state = ls.state_from_beamformer(rand_c(rng, L, Nt, K, scale=0.3),
                                      rho=[1.0, 2.0, 3.0])
     with pytest.raises(RuntimeError, match=r"lane 2 \(rho=3,"):
-        ls.update_R(state, ws, pa)
+        ls.update_R(state, ws, pa, ls.lagged_factor(state.R))
     assert state.rho.tolist() == [1.0, 2.0, 3.0]
     one = ls.state_from_beamformer(state.W[2], rho=3.0)
     with pytest.raises(RuntimeError, match=r"lane 0 \(rho=3,"):
-        ls.update_R(one, ls.build_workspace(H[2], fp, Nt, K), pa)
+        ls.update_R(one, ls.build_workspace(H[2], fp, Nt, K), pa,
+                    ls.lagged_factor(one.R))
     assert one.rho == 3.0

@@ -74,8 +74,8 @@ def test_lift_reads_match_dense_expansion():
         state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=rho)
         check_reads(state, ws, pa, ctx)          # the tight lift w w^H
 
-        lag = state.F_abs_sq
-        R = ls.update_R(state, ws, pa, ctx)
+        lag = ls.lagged_factor(state.R)
+        R = ls.update_R(state, ws, pa, lag, ctx)
         assert R.u is state.w
         if Nt * K <= 12:
             R_dense = ref.solve_r_dense(w, ws, pa, rho, lag, ctx)
@@ -87,7 +87,7 @@ def test_lift_reads_match_dense_expansion():
         other = rand_c(rng, Nt * K, scale=0.7)
         assert close(R.rmatvec(other), ref.expand(R).conj().T @ other)
         with pytest.raises(ValueError, match="solved at w"):
-            ls.LocalSolverState(w=other, R=R, F_abs_sq=lag, rho=rho)
+            ls.LocalSolverState(w=other, R=R, rho=rho)
 
         ls.sweep(state, ws, pa, 1.0, ctx)
         check_reads(state, ws, pa, ctx)
@@ -100,7 +100,7 @@ def test_lift_reads_match_dense_expansion_at_large_array():
     ws, ctx = random_case(rng, Nt, K, star=False)
     w = rand_c(rng, Nt * K, scale=0.05)
     state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=3.0)
-    ls.update_R(state, ws, pa)
+    ls.update_R(state, ws, pa, ls.lagged_factor(state.R))
     check_reads(state, ws, pa, ctx)
 
 

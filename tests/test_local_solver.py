@@ -203,7 +203,8 @@ class TestWStep:
             state = make_state(rng, ws, rho=float(rng.uniform(0.5, 3.0)))
             A, C = ls.w_subproblem_terms(state, ws, pa)
             rho = state.rho
-            w = ls.update_w(state, ws, pa, Pt)
+            ls.update_w(state, ws, pa, Pt)
+            w = state.w
             assert np.linalg.norm(w) ** 2 <= Pt * (1 + 1e-9)
             cases.append((w, A, C, rho))
         xs = pg_oracle([A for _, A, _, _ in cases], [C for _, _, C, _ in cases],
@@ -222,8 +223,9 @@ class TestWStep:
         state = make_state(rng, ws)
         Pt = 1e9
         A, C = ls.w_subproblem_terms(state, ws, pa)
-        w = ls.update_w(state, ws, pa, Pt)
-        assert state.eta == 0.0
+        eta = ls.update_w(state, ws, pa, Pt)
+        w = state.w
+        assert eta == 0.0
         lhs = (np.kron(np.eye(2), A)
                + 2 * state.rho * np.linalg.norm(w) ** 2 * np.eye(6)) @ w
         assert np.allclose(lhs, -ls.vec(C), rtol=1e-6, atol=1e-8)
@@ -234,8 +236,9 @@ class TestWStep:
         ws = make_workspace(rng, 3, 2, zeta_scale=3.0)
         state = make_state(rng, ws, scale=1.5)
         Pt = 1e-4  # force the constraint active
-        w = ls.update_w(state, ws, pa, Pt)
-        assert state.eta > 0.0
+        eta = ls.update_w(state, ws, pa, Pt)
+        w = state.w
+        assert eta > 0.0
         assert np.linalg.norm(w) ** 2 == pytest.approx(Pt, rel=1e-7)
 
     def test_zero_data_returns_zero(self):
@@ -244,8 +247,8 @@ class TestWStep:
         fp = FpState(mu=np.zeros(K), zeta=np.zeros(K, dtype=complex))
         ws = ls.build_workspace(H, fp, Nt, K)
         state = ls.state_from_beamformer(np.zeros((Nt, K), dtype=complex))
-        w = ls.update_w(state, ws, PaModel.ideal(), 1.0)
-        assert np.allclose(w, 0.0)
+        ls.update_w(state, ws, PaModel.ideal(), 1.0)
+        assert np.allclose(state.w, 0.0)
 
 
 def test_penalty_surrogate_tangent_and_bounding():
@@ -312,7 +315,8 @@ class TestRStep:
         ws = ls.build_workspace(H, fp, Nt, K)
         w = rand_c(rng, Nt * K)
         state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=2.0)
-        R = ref.expand(ls.update_R(state, ws, PaModel.ideal()))
+        R = ref.expand(ls.update_R(state, ws, PaModel.ideal(),
+                                   ls.lagged_factor(state.R)))
         assert np.allclose(R, np.outer(w, w.conj()), atol=1e-12)
 
     def test_stationarity_dense_and_probing(self):
@@ -325,8 +329,8 @@ class TestRStep:
             w = rand_c(rng, N, scale=0.7)
             rho = float(rng.uniform(0.5, 3.0))
             state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=rho)
-            lag = state.F_abs_sq
-            R = ref.expand(ls.update_R(state, ws, pa))
+            lag = ls.lagged_factor(state.R)
+            R = ref.expand(ls.update_R(state, ws, pa, lag))
 
             R_dense = ref.solve_r_dense(w, ws, pa, rho, lag)
             assert np.abs(R - R_dense).max() <= 1e-8 * max(1.0, np.abs(R).max())
@@ -349,10 +353,10 @@ class TestRStep:
         w = rand_c(rng, N, scale=0.7)
         rho = 1.4
         state = ls.state_from_beamformer(ls.unvec(w, Nt, K), rho=rho)
-        lag = state.F_abs_sq
+        lag = ls.lagged_factor(state.R)
         star = ls.StarContext(Q_C=rand_c(rng, K, K), lam=rand_c(rng, K * K),
                               varrho=5.0)
-        R = ref.expand(ls.update_R(state, ws, pa, star))
+        R = ref.expand(ls.update_R(state, ws, pa, lag, star))
         R_probe = r_objective_via_probing(w, ws, pa, rho, lag, star)
         assert np.abs(R - R_probe).max() <= 1e-8 * max(1.0, np.abs(R).max())
 
@@ -386,7 +390,7 @@ def test_sweep_descends_penalized_objective():
             ls.sweep(state, ws, pa, Pt)
             # compare at the rho under which the sweep optimized
             state_between = ls.LocalSolverState(
-                w=state.w, R=state.R, F_abs_sq=state.F_abs_sq, rho=rho_before
+                w=state.w, R=state.R, rho=rho_before
             )
             now = ls.local_penalized_objective(state_between, ws, pa)
             assert now <= prev + 1e-8 * max(1.0, abs(prev))
@@ -405,9 +409,9 @@ def test_penalty_residual_decays_with_rho():
     for rho in (1.0, 100.0, 10000.0):
         state = make_state(rng, ws, rho=rho, scale=np.sqrt(Pt / (Nt * K)))
         for _ in range(10):
+            lag = ls.lagged_factor(state.R)
             ls.update_w(state, ws, pa, Pt)
-            state.F_abs_sq = ls.lagged_factor(state.R)
-            ls.update_R(state, ws, pa)
+            ls.update_R(state, ws, pa, lag)
             state.rho = rho  # pin: bypass every schedule
         resids.append(ls.penalty_residual(state))
     assert resids[2] < resids[1] < resids[0]

@@ -125,8 +125,7 @@ def test_memoized_lift_reads_match_a_fresh_lift():
             assert np.array_equal(ls.lagged_factor(R), ls.lagged_factor(fresh))
             assert R.u is state.w
             assert R.distance_sq() == fresh.distance_sq()
-            twin = ls.LocalSolverState(w=state.w, R=fresh,
-                                       F_abs_sq=state.F_abs_sq, rho=state.rho)
+            twin = ls.LocalSolverState(w=state.w, R=fresh, rho=state.rho)
             assert ls.penalty_residual(state) == ls.penalty_residual(twin)
             assert (ls.local_penalized_objective(state, ws, pa, ctx)
                     == ls.local_penalized_objective(twin, ws, pa, ctx))
@@ -177,7 +176,7 @@ def test_state_rejects_a_lift_of_another_beamformer():
     assert state.R.u is state.w
     for w in (rand_c(rng, Nt * K), state.w.copy()):
         with pytest.raises(ValueError, match="solved at w"):
-            ls.LocalSolverState(w=w, R=state.R, F_abs_sq=state.F_abs_sq)
+            ls.LocalSolverState(w=w, R=state.R)
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVES))

@@ -41,9 +41,9 @@ def test_w_step_properties(Nt, K, pt_dbm, beta3, log_rho, star, seed):
                              varrho=OPTS.varrho)
     A, C = ls.w_subproblem_terms(state, ws, pa, ctx)
 
-    w = ls.update_w(state, ws, pa, Pt, ctx)
+    eta = ls.update_w(state, ws, pa, Pt, ctx)
+    w = state.w
     power = float(np.linalg.norm(w) ** 2)
-    eta = state.eta
 
     assert np.all(np.isfinite(w))
     assert power <= Pt * (1.0 + 1e-14)
@@ -84,12 +84,13 @@ def test_step_systems_are_semidefinite(Nt, K, log_pt, beta3, log_rho, star,
         ctx = ls.StarContext(Q_C=rand_c(rng, K, K), lam=rand_c(rng, K * K),
                              varrho=OPTS.varrho)
 
-    M, _, _ = ls._r_system_parts(state.w, ws, pa, rho, state.F_abs_sq, ctx)
+    lag = ls.lagged_factor(state.R)
+    M, _, _ = ls._r_system_parts(state.w, ws, pa, rho, lag, ctx)
     lhs = K * M + rho * np.eye(Nt)
     low = np.linalg.eigvalsh(0.5 * (lhs + lhs.conj().T))[0]
     assert low >= rho - 1e-12 * (rho + K * np.linalg.norm(M, 2))
 
-    ls.update_R(state, ws, pa, ctx)   # a loose lift: a complex gain diagonal
+    ls.update_R(state, ws, pa, lag, ctx)  # a loose lift: complex gain diagonal
     A, _ = ls.w_subproblem_terms(state, ws, pa, ctx)
     lam = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
     assert lam[0] >= -1e-12 * max(1.0, abs(lam[-1]))
