@@ -238,16 +238,24 @@ def _fmt(x):
 def run_beampattern(config: SystemConfig, pa: PaModel, opts: SolverOptions,
                     output_dir, solver: str = "ring",
                     modes=("IDEAL", "DAB", "DUB"), trial: int = 0) -> dict:
-    """Solve one scenario per mode and export per-BS radiation patterns."""
+    """Solve one scenario per design and export per-BS radiation patterns.
+
+    Modes that design under equal amplifiers (DUB and IDEAL both design
+    under ``PaModel.ideal()``) share one solve; each mode's pattern is then
+    read under its own evaluation amplifier.
+    """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, channels = scenario.make_scenario(
         config, seed=trial_seed(config.rng_seed, trial))
     angles = metrics.default_angle_grid()
-    files = []
+    files, designs = [], {}
     for tag in modes:
         mode = SolveMode.from_tag(tag, pa)
-        report = run_solver(solver, channels, config, mode, opts)
+        if mode.design_pa not in designs:
+            designs[mode.design_pa] = run_solver(solver, channels, config,
+                                                 mode, opts)
+        report = designs[mode.design_pa]
         patterns = {
             b: metrics.beam_pattern(report.W[b], mode.eval_pa, angles,
                                     config.num_antennas, config.carrier_freq,

@@ -61,6 +61,7 @@ for), by 10 for each rejected move and while the residual exceeds
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -498,9 +499,11 @@ def _multiplier(d, a, cum, rho: float, Pt: float):
         ai = a * inv * inv
         return float(np.add.reduce(ai)), float(np.add.reduce(ai * inv))
 
+    evaluated = {}  # t -> (p, q) of the interior search
+
     def interior(t: float):
-        p, q = secular(t)
-        s, r = 1.0 / np.sqrt(p), np.sqrt(2.0 * rho / t)
+        p, q = evaluated[t] = secular(t)
+        s, r = 1.0 / math.sqrt(p), math.sqrt(2.0 * rho / t)
         return s - r, s * q / p + 0.5 * r / t, s, s < r
 
     # cum[j] / (d[j] + t)^2 <= p(t) <= cum[-1] / (d[0] + t)^2 bracket the
@@ -510,20 +513,21 @@ def _multiplier(d, a, cum, rho: float, Pt: float):
         lo = float(np.max(np.fmin(np.cbrt(x), x / d ** 2)))
         hi = float(np.fmin(np.cbrt(4.0 * x[-1]), 4.0 * x[-1] / d[0] ** 2))
     t_int, _, _, _ = _secular_newton(interior, lo, hi, lo)
-    if secular(t_int)[0] <= Pt:
+    # the search ends on an evaluated t unless it ran out of iterations
+    if (evaluated.get(t_int) or secular(t_int))[0] <= Pt:
         return t_int, 0.0
 
     # power constraint active: ||w||^2 = Pt, t = 2 rho Pt + eta
     base = 2.0 * rho * Pt
-    s_pt = 1.0 / np.sqrt(Pt)
+    s_pt = 1.0 / math.sqrt(Pt)
 
     def active(t: float):
         p, q = secular(t)
-        s = 1.0 / np.sqrt(p)
+        s = 1.0 / math.sqrt(p)
         return s - s_pt, s * q / p, s, p > Pt
 
     lo = max(base, t_int, float(np.max(np.sqrt(cum / Pt) - d)))
-    hi = max(lo, float(np.sqrt(cum[-1] / Pt) - d[0]))
+    hi = max(lo, math.sqrt(cum[-1] / Pt) - float(d[0]))
     while secular(hi)[0] > Pt:
         hi *= 2.0
     t_star, step, left, hi = _secular_newton(active, lo, hi, lo)

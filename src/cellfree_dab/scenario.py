@@ -2,8 +2,7 @@
 
 All randomness flows through an explicit ``numpy.random.Generator`` so that a
 (config, seed) pair fully determines the generated geometry and channels.
-Functions here are pure and safe to call from concurrent trial runners as long
-as each runner owns its own generator.
+Functions here keep no state; each draws only from the generator it is given.
 """
 
 from __future__ import annotations
@@ -188,6 +187,10 @@ def place_network(config: SystemConfig, rng: np.random.Generator) -> NetworkGeom
     remaining paths get angles uniform in [-pi/2, pi/2] and distances uniform
     in [200, 400] m. Each BS array is oriented broadside toward the origin,
     which keeps every in-disk UE within the +-pi/2 visible sector.
+    The line-of-sight angles and distances of every (b, k) are one stacked
+    expression, bit for bit the per-(b, k) loop (``place_network_loop`` in
+    ``tests/reference.py``): ``np.vecdot`` rounds each 2-vector dot and norm
+    as the loop does, where a stacked ``@`` or ``norm(axis=-1)`` does not.
     """
     B, K, M = config.num_bs, config.num_ues, config.num_paths
     if config.bs_positions is not None:
@@ -199,20 +202,19 @@ def place_network(config: SystemConfig, rng: np.random.Generator) -> NetworkGeom
     azim = rng.uniform(0.0, 2.0 * np.pi, size=K)
     ue_pos = np.stack([radii * np.cos(azim), radii * np.sin(azim)], axis=1)
 
+    boresight = -bs_pos
+    norm = np.sqrt(np.vecdot(boresight, boresight))
+    at_origin = norm == 0
+    boresight = boresight / np.where(at_origin, 1.0, norm)[:, None]
+    boresight[at_origin] = (1.0, 0.0)
+    vec = ue_pos[None] - bs_pos[:, None]  # (B, K, 2)
+    bx, by = boresight[:, 0, None], boresight[:, 1, None]
     angles = np.empty((B, K, M))
     dists = np.empty((B, K, M))
-    for b in range(B):
-        boresight = -bs_pos[b]
-        norm = np.linalg.norm(boresight)
-        boresight = boresight / norm if norm > 0 else np.array([1.0, 0.0])
-        for k in range(K):
-            vec = ue_pos[k] - bs_pos[b]
-            dist = np.linalg.norm(vec)
-            # signed angle from the boresight toward the UE
-            angles[b, k, 0] = np.arctan2(
-                boresight[0] * vec[1] - boresight[1] * vec[0], vec @ boresight
-            )
-            dists[b, k, 0] = dist
+    # signed angle from the boresight toward the UE
+    angles[:, :, 0] = np.arctan2(bx * vec[..., 1] - by * vec[..., 0],
+                                 np.vecdot(vec, boresight[:, None]))
+    dists[:, :, 0] = np.sqrt(np.vecdot(vec, vec))
     if M > 1:
         angles[:, :, 1:] = rng.uniform(-np.pi / 2, np.pi / 2, size=(B, K, M - 1))
         dists[:, :, 1:] = rng.uniform(200.0, 400.0, size=(B, K, M - 1))

@@ -17,8 +17,9 @@ its diagonal, ``pa_model.bussgang_gain_diag``), the full transformed
 sum-rate objective, the w-step objective, and the FP auxiliaries' separate
 updates (``update_mu``, ``update_zeta``) that ``fp_core.update_fp`` joined
 into one evaluation. So do the per-BS loops that the stacked BS axis
-replaced: the aggregates, the start-point scan and the channel's path sum,
-which the stacked forms equal bit for bit; and the star solver that sweeps
+replaced: the aggregates, the start-point scan, the geometry's
+line-of-sight angles and distances, and the channel's path sum, which the
+stacked forms equal bit for bit; and the star solver that sweeps
 its stations one at a time (``run_star_loop``), which star's one sweep over
 a lane axis of all B stations equals bit for bit.
 """
@@ -33,7 +34,8 @@ from cellfree_dab.fp_core import (FpState, MetricsInputs, _denominators, _zeta,
                                   sindr)
 from cellfree_dab.local_solver import Lift, StarContext, Workspace, unvec, vec
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag, distortion_cov
-from cellfree_dab.scenario import steering_vector
+from cellfree_dab.scenario import (NetworkGeometry, default_bs_layout,
+                                   steering_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +301,39 @@ def initial_beamformers_loop(H: np.ndarray, Pt: float, pa, sigma2) -> np.ndarray
             if rate > best_rate:
                 best_W, best_rate = W, rate
     return best_W
+
+
+def place_network_loop(config, rng: np.random.Generator) -> NetworkGeometry:
+    """``scenario.place_network`` with its line-of-sight geometry one (b, k)
+    at a time; it draws from ``rng`` in the same order."""
+    B, K, M = config.num_bs, config.num_ues, config.num_paths
+    if config.bs_positions is not None:
+        bs_pos = np.asarray(config.bs_positions, dtype=float).reshape(B, 2)
+    else:
+        bs_pos = default_bs_layout(B)
+
+    radii = config.ue_area_radius * np.sqrt(rng.uniform(0.0, 1.0, size=K))
+    azim = rng.uniform(0.0, 2.0 * np.pi, size=K)
+    ue_pos = np.stack([radii * np.cos(azim), radii * np.sin(azim)], axis=1)
+
+    angles = np.empty((B, K, M))
+    dists = np.empty((B, K, M))
+    for b in range(B):
+        boresight = -bs_pos[b]
+        norm = np.linalg.norm(boresight)
+        boresight = boresight / norm if norm > 0 else np.array([1.0, 0.0])
+        for k in range(K):
+            vec = ue_pos[k] - bs_pos[b]
+            dist = np.linalg.norm(vec)
+            # signed angle from the boresight toward the UE
+            angles[b, k, 0] = np.arctan2(
+                boresight[0] * vec[1] - boresight[1] * vec[0], vec @ boresight
+            )
+            dists[b, k, 0] = dist
+    if M > 1:
+        angles[:, :, 1:] = rng.uniform(-np.pi / 2, np.pi / 2, size=(B, K, M - 1))
+        dists[:, :, 1:] = rng.uniform(200.0, 400.0, size=(B, K, M - 1))
+    return NetworkGeometry(bs_pos, ue_pos, angles, dists)
 
 
 def channel_loop(geom, alpha: np.ndarray, config) -> np.ndarray:

@@ -4,23 +4,25 @@ Usage::
 
     PYTHONPATH=src python tests/solve_digests.py > digests.txt
 
-Each line names one solve (shape, solver, mode) and digests its W, the repr
-of its sum rate, its trace, its counters and its diagnostics. The reprs keep
-the value types, so a float that turns into a numpy scalar shows too. Each
-shape also gets one ``scan`` line: the digest of the start point
-(``common.initial_beamformers`` on the normalized channel, as the solvers
-call it) under each design amplifier, so a change to the scan alone shows
-on its own line. Run it
-on two checkouts and ``diff`` the outputs: a refactor that claims bit-for-bit
-results must print the same lines. The shapes are the desk profile (seeds
-0-5, at 8 and 44 dBm), the paper's full profile, the 16-station network and
-the 64-antenna, 12-UE array. After the solves it prints one line per file
-that ``cellfree-dab convergence --trials 2``, ``cellfree-dab sweep --var pt
---values 8,44 --trials 2`` and ``cellfree-dab sweep --var bs --values 1,2
---trials 2`` (a sweep whose network shape changes with the value) write, with
-``manifest.json`` digested without its timestamp, so one ``diff`` also checks
-the CLI outputs byte for byte. The file is not a test module; pytest does not
-collect it.
+Each line names one solve (shape, solver, mode) and digests its W, the repr of
+its sum rate, its trace, its counters and its diagnostics. The reprs keep the
+value types, so a float that turns into a numpy scalar shows too. Each shape
+first gets one ``draw`` line: the digests of its scenario's four geometry
+arrays (station and user positions, path angles and distances), its channel
+``H`` and its path gains ``alpha``, so a moved draw shows on its own line.
+Then one ``scan`` line: the digest of the start point
+(``common.initial_beamformers`` on the normalized channel, as the solvers call
+it) under each design amplifier, so a change to the scan alone shows on its
+own line. Run it on two checkouts and ``diff`` the outputs: a refactor that
+claims bit-for-bit results must print the same lines. The shapes are the desk
+profile (seeds 0-5, at 8 and 44 dBm), the paper's full profile, the 16-station
+network and the 64-antenna, 12-UE array. After the solves it prints one line
+per file that ``cellfree-dab convergence --trials 2``, ``cellfree-dab sweep
+--var pt --values 8,44 --trials 2`` and ``cellfree-dab sweep --var bs --values
+1,2 --trials 2`` (a sweep whose network shape changes with the value) write,
+with ``manifest.json`` digested without its timestamp, so one ``diff`` also
+checks the CLI outputs byte for byte. The file is not a test module; pytest
+does not collect it.
 
 ``--drop KEY`` (repeatable) digests the counters and diagnostics without the
 named keys. A change that removes a report key shows that nothing else moved
@@ -94,7 +96,14 @@ def main():
 
     pa = PaModel.reference()
     for name, cfg, opts in cases():
-        _, channels = make_scenario(cfg)
+        geom, channels = make_scenario(cfg)
+        print(name, "draw", *(
+            f"{field}=" + digest(value) for field, value in (
+                ("bs_positions", geom.bs_positions),
+                ("ue_positions", geom.ue_positions),
+                ("path_angles", geom.path_angles),
+                ("path_distances", geom.path_distances),
+                ("H", channels.H), ("alpha", channels.alpha))))
         scale = channel_scale(channels.H)
         H, sigma2 = channels.H / scale, cfg.sigma2 / scale**2
         print(name, "scan", *(

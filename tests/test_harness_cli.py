@@ -153,6 +153,33 @@ def test_beampattern_outputs(tmp_path):
     assert len(lines) == 1 + cfg.num_bs * 721
 
 
+def test_beampattern_solves_each_design_once(tmp_path, monkeypatch):
+    """DUB and IDEAL share one design solve, and every pattern file is byte
+    for byte the one a single-mode call writes."""
+    from cellfree_dab import harness
+
+    cfg = desk_profile(rng_seed=0)
+    modes = ("IDEAL", "DAB", "DUB")
+    for tag in modes:
+        run_beampattern(cfg, PaModel.reference(), FAST_OPTS, tmp_path / tag,
+                        solver="ring", modes=(tag,))
+    real, calls = harness.run_solver, []
+
+    def counted(*args):
+        calls.append(args[3].tag)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "run_solver", counted)
+    result = run_beampattern(cfg, PaModel.reference(), FAST_OPTS,
+                             tmp_path / "all", solver="ring", modes=modes)
+    assert calls == ["IDEAL", "DAB"]
+    assert result["files"] == [f"pattern_ring_{tag}.csv" for tag in modes]
+    for tag in modes:
+        name = f"pattern_ring_{tag}.csv"
+        assert ((tmp_path / "all" / name).read_bytes()
+                == (tmp_path / tag / name).read_bytes()), tag
+
+
 def test_solver_abort_recorded_and_run_continues(tmp_path, monkeypatch):
     from cellfree_dab import harness
 

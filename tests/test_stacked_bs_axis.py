@@ -16,7 +16,8 @@ from cellfree_dab.fp_core import (
     update_fp,
 )
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag, distortion_cov
-from cellfree_dab.scenario import desk_profile, full_profile, make_scenario
+from cellfree_dab.scenario import (desk_profile, full_profile, make_scenario,
+                                   place_network)
 
 SHAPES = [(1, 1, 1), (2, 4, 2), (4, 16, 6), (16, 16, 6), (4, 64, 12),
           (5, 19, 12)]
@@ -164,6 +165,34 @@ def test_generate_channel_equals_loop(make_config):
         geom, ch = make_scenario(cfg)
         assert ch.H.flags.c_contiguous
         assert same(ch.H, ref.channel_loop(geom, ch.alpha, cfg))
+
+
+GEOMETRY_CASES = {
+    **{f"default-B{B}": dict(num_bs=B) for B in (1, 2, 4, 7, 16)},
+    # one station at the origin (no boresight: the [1, 0] fallback) and one
+    # inside the UE disk
+    "explicit": dict(num_bs=3,
+                     bs_positions=[(0.0, 0.0), (50.0, -30.0), (-200.0, 200.0)]),
+    **{f"K{K}-M{M}": dict(num_ues=K, num_paths=M)
+       for K in (1, 6, 12) for M in (1, 3)},
+    "radius0": dict(ue_area_radius=0.0),
+}
+
+
+@pytest.mark.parametrize("overrides", list(GEOMETRY_CASES.values()),
+                         ids=list(GEOMETRY_CASES))
+def test_place_network_equals_loop(overrides):
+    """Every array of the stacked draw equals the per-(b, k) loop's, and
+    both leave the generator at the same point."""
+    cfg = full_profile(**overrides)
+    for seed in range(20):
+        rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        geom = place_network(cfg, rng)
+        loop = ref.place_network_loop(cfg, rng_loop)
+        for name in ("bs_positions", "ue_positions", "path_angles",
+                     "path_distances"):
+            assert same(getattr(geom, name), getattr(loop, name)), (seed, name)
+        assert rng.random() == rng_loop.random(), seed
 
 
 def normalized(cfg):
