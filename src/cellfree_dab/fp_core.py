@@ -67,14 +67,24 @@ def bs_contribution(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel):
     beamformer could give different last bits.
     """
     H_b, W_b = np.ascontiguousarray(H_b), np.ascontiguousarray(W_b)
-    g = bussgang_gain_diag(W_b, pa)
-    Q = np.swapaxes(H_b.conj(), -1, -2) @ (g[..., None] * W_b)
+    Q = signal_block(H_b, W_b, pa)
     if pa.is_ideal:
         p = np.zeros(Q.shape[:-1])
     else:
         Cd = distortion_cov(W_b, pa)
         p = np.einsum("...nk,...nm,...mk->...k", H_b.conj(), Cd, H_b).real
     return Q, p
+
+
+def signal_block(H_b: np.ndarray, W_b: np.ndarray, pa: PaModel) -> np.ndarray:
+    """The signal/interference block H^H G W of ``bs_contribution`` alone.
+
+    Takes the same shapes and returns its ``Q``, bit for bit, without
+    forming the Nt x Nt distortion covariance.
+    """
+    H_b, W_b = np.ascontiguousarray(H_b), np.ascontiguousarray(W_b)
+    g = bussgang_gain_diag(W_b, pa)
+    return np.swapaxes(H_b.conj(), -1, -2) @ (g[..., None] * W_b)
 
 
 def sum_contributions(Q_parts, p_parts, sigma2) -> MetricsInputs:

@@ -416,20 +416,31 @@ _SECULAR_RTOL = 1e-15
 def _secular_newton(phi, lo: float, hi: float, t: float):
     """Safeguarded Newton on an increasing secular function.
 
-    ``phi(t)`` returns (value, slope, scale, left), where ``left`` says that
-    t lies left of the root. The bracket [lo, hi] keeps the root; a Newton
-    step that leaves it is replaced by bisection. The search stops at a
-    relative residual |value| <= 1e-15 * scale, at a bracket four ulps wide,
-    or after ``_SECULAR_MAX_ITERS`` evaluations. Returns (t, step, left, hi):
-    the last iterate, its Newton step, its side, and the bracket's right end.
+    ``phi(t, sqrt)`` returns (value, slope, scale, left), where ``left``
+    says that t lies left of the root. The bracket [lo, hi] keeps the root;
+    a Newton step that leaves it is replaced by bisection. The search stops
+    at a relative residual |value| <= 1e-15 * scale, at a bracket four ulps
+    wide, or after ``_SECULAR_MAX_ITERS`` evaluations. Returns
+    (t, step, left, hi): the last iterate, its Newton step, its side, and
+    the bracket's right end.
+
+    The scalars are Python floats, whose division by zero raises where
+    numpy's gives inf or nan. A power that underflows to 0, or a zero slope,
+    therefore evaluates again on numpy scalars (``np.sqrt`` for ``sqrt``),
+    so such a step gets the IEEE results and the bracket carries on.
     """
     for _ in range(_SECULAR_MAX_ITERS):
-        val, slope, scale, left = phi(t)
+        try:
+            val, slope, scale, left = phi(t)
+            step = -val / slope
+        except ZeroDivisionError:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val, slope, scale, left = phi(np.float64(t), np.sqrt)
+                step = -val / slope
         if left:
             lo = t
         else:
             hi = t
-        step = -val / slope
         if abs(val) <= _SECULAR_RTOL * scale or hi - lo <= 4.0 * np.spacing(hi):
             break
         t_next = t + step
@@ -501,9 +512,9 @@ def _multiplier(d, a, cum, rho: float, Pt: float):
 
     evaluated = {}  # t -> (p, q) of the interior search
 
-    def interior(t: float):
+    def interior(t: float, sqrt=math.sqrt):
         p, q = evaluated[t] = secular(t)
-        s, r = 1.0 / math.sqrt(p), math.sqrt(2.0 * rho / t)
+        s, r = 1.0 / sqrt(p), sqrt(2.0 * rho / t)
         return s - r, s * q / p + 0.5 * r / t, s, s < r
 
     # cum[j] / (d[j] + t)^2 <= p(t) <= cum[-1] / (d[0] + t)^2 bracket the
@@ -521,9 +532,9 @@ def _multiplier(d, a, cum, rho: float, Pt: float):
     base = 2.0 * rho * Pt
     s_pt = 1.0 / math.sqrt(Pt)
 
-    def active(t: float):
+    def active(t: float, sqrt=math.sqrt):
         p, q = secular(t)
-        s = 1.0 / math.sqrt(p)
+        s = 1.0 / sqrt(p)
         return s - s_pt, s * q / p, s, p > Pt
 
     lo = max(base, t_int, float(np.max(np.sqrt(cum / Pt) - d)))

@@ -30,6 +30,16 @@ Profiles, with the design amplifier ``PaModel.reference()``:
 * ``large``: ``full_profile(num_antennas=64, num_ues=12)``, 2 passes (its
   large_array), the largest Nt x Nt R-step and lift.
 
+``--scan`` times the start-point scan alone instead of the solves:
+``common.initial_beamformers`` on the profile's channel, normalized as the
+solvers normalize it, under the same amplifier and with the same
+alternation. It prints the median ratio with its quartiles, the median
+times, and whether the two sides returned the same start point W0 on every
+repetition::
+
+    OMP_NUM_THREADS=1 python tests/ab_solves.py OLD_SRC NEW_SRC \
+        --profile large --reps 30 --scan
+
 The file is not a test module; pytest does not collect it.
 """
 
@@ -86,6 +96,30 @@ def solve(tree, solver: str, cfg, channels, opts):
     return time.perf_counter() - start, report.sum_rate
 
 
+def scan(tree, cfg, channels):
+    """(seconds, W0) of one start-point scan, as ``block_driver.setup``
+    calls it."""
+    common = tree.common
+    scale = common.channel_scale(channels.H)
+    H = channels.H / scale
+    sigma2 = np.asarray(cfg.sigma2) / scale**2
+    pa = tree.pa_model.PaModel.reference()
+    start = time.perf_counter()
+    W0 = common.initial_beamformers(H, cfg.power_budget, pa, sigma2)
+    return time.perf_counter() - start, W0
+
+
+def report(label: str, old, new, outputs: str, same: bool) -> None:
+    """One line: the median new/old time ratio, its IQR, the medians, and
+    whether the ``outputs`` were the same on every repetition."""
+    old, new = np.array(old), np.array(new)
+    q1, med, q3 = np.percentile(new / old, [25, 50, 75])
+    print(f"{label:8s} new/old {med:.3f} (IQR {q1:.3f}-{q3:.3f})  "
+          f"old {1e3 * np.median(old):.1f} ms  "
+          f"new {1e3 * np.median(new):.1f} ms  "
+          f"{outputs} {'identical' if same else 'DIFFER'}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
@@ -93,12 +127,16 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", choices=("full", "desk", "wide", "large"),
                         default="full")
     parser.add_argument("--reps", type=int, default=20)
+    parser.add_argument("--scan", action="store_true",
+                        help="time common.initial_beamformers alone")
     args = parser.parse_args(argv)
 
     trees = {"old": load_tree(args.old_src, "cellfree_dab_old"),
              "new": load_tree(args.new_src, "cellfree_dab_new")}
     cases = {side: profile_case(tree, args.profile)
              for side, tree in trees.items()}
+    if args.scan:
+        return main_scan(trees, cases, args)
     times = {(side, s): [] for side in trees for s in SOLVERS}
     same_rate = dict.fromkeys(SOLVERS, True)
     for rep in range(args.reps):
@@ -116,13 +154,28 @@ def main(argv=None) -> int:
 
     print(f"profile {args.profile}, {args.reps} alternating pairs")
     for solver in SOLVERS:
-        old = np.array(times["old", solver])
-        new = np.array(times["new", solver])
-        q1, med, q3 = np.percentile(new / old, [25, 50, 75])
-        print(f"{solver:8s} new/old {med:.3f} (IQR {q1:.3f}-{q3:.3f})  "
-              f"old {1e3 * np.median(old):.1f} ms  "
-              f"new {1e3 * np.median(new):.1f} ms  "
-              f"rates {'identical' if same_rate[solver] else 'DIFFER'}")
+        report(solver, times["old", solver], times["new", solver], "rates",
+               same_rate[solver])
+    return 0
+
+
+def main_scan(trees, cases, args) -> int:
+    """The ``--scan`` mode: start-point scans, alternating like the solves."""
+    times = {side: [] for side in trees}
+    same_w0 = True
+    for rep in range(args.reps):
+        order = ("old", "new") if rep % 2 == 0 else ("new", "old")
+        w0 = {}
+        for side in order:
+            cfg = cases[side][0]
+            _, channels = trees[side].scenario.make_scenario(cfg, seed=rep)
+            dt, w0[side] = scan(trees[side], cfg, channels)
+            times[side].append(dt)
+        same_w0 &= (w0["old"].shape == w0["new"].shape
+                    and w0["old"].tobytes() == w0["new"].tobytes())
+    print(f"profile {args.profile}, start-point scan, "
+          f"{args.reps} alternating pairs")
+    report("scan", times["old"], times["new"], "W0", same_w0)
     return 0
 
 

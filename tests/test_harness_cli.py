@@ -235,6 +235,33 @@ def test_huge_budget_raises_runtime_error(run):
         run(ch, cfg, PaModel.reference())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # expected overflow
+@pytest.mark.parametrize("run", [run_ring, run_central],
+                         ids=["ring", "central"])
+def test_underflowing_secular_power_keeps_ieee_results(run):
+    """At 1080 dBm a w-step's secular power underflows to 0. The multiplier
+    search takes the IEEE inf/nan there and bisects on, where Python floats
+    raised ZeroDivisionError; the solve returns its rate after one pass."""
+    cfg = config_for_value(desk_profile(), "pt", 1080.0)
+    _, ch = make_scenario(cfg, seed=trial_seed(cfg.rng_seed, 1))
+    report = run(ch, cfg, PaModel.reference())
+    assert repr(report.sum_rate) == "3.506819492252137"
+    assert report.iterations == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # expected overflow
+def test_sweeps_at_underflowing_budgets_write_every_row(tmp_path):
+    for seed, dbm in [(0, 1080.0), (1, 1080.0), (5, 1080.0), (6, 1070.0)]:
+        out = tmp_path / f"seed{seed}"
+        run_experiment(ExperimentSpec(
+            scenario=desk_profile(rng_seed=seed), sweep_var="pt",
+            sweep_values=(dbm,), trials=2, output_dir=out))
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 3 * 2, seed
+        assert all(row["status"] == "ok" for row in rows), seed
+
+
 def test_tasks_run_inline_in_grid_order(tmp_path, monkeypatch):
     from cellfree_dab import harness
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,17 @@ def test_penalty_surrogate_tangent_and_bounding():
     for _ in range(20):
         w = rand_c(rng, N)
         assert lin(R_psd, w) >= -2 * np.real(w.conj() @ R_psd @ w) - 1e-9
+
+
+def test_secular_newton_steps_past_a_zero_slope():
+    """A zero slope on Python floats raises where numpy scalars give -inf;
+    the step is taken on numpy scalars, so the search bisects on."""
+    def phi(t, sqrt=math.sqrt):
+        return sqrt(t) + 1.0, 0.0, 1.0, False
+
+    t, step, left, hi = ls._secular_newton(phi, 0.0, 1.0, 0.5)
+    assert step == -np.inf and not left
+    assert 0.0 < t <= hi < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import reference as ref
-from cellfree_dab import fp_core
-from cellfree_dab.common import (NUM_HALVINGS, SCAN_STACK_BYTES, channel_scale,
+from cellfree_dab import common, fp_core
+from cellfree_dab.common import (BACKOFF_SCALES, NUM_HALVINGS, POW2_BACKOFFS,
+                                 SCAN_STACK_BYTES, channel_scale,
                                  initial_beamformers)
 from cellfree_dab.fp_core import (
     MetricsInputs,
@@ -15,6 +16,7 @@ from cellfree_dab.fp_core import (
     sum_rate,
     update_fp,
 )
+from cellfree_dab.harness import dbm_to_watt
 from cellfree_dab.pa_model import PaModel, bussgang_gain_diag, distortion_cov
 from cellfree_dab.scenario import (desk_profile, full_profile, make_scenario,
                                    place_network)
@@ -203,10 +205,13 @@ def normalized(cfg):
 
 
 def test_solver_start_point_equals_loop():
-    """The scan on a real normalized channel, as the solvers call it: desk
-    scores its 25 backoffs in one chunk, full in 16 + 9, wide in chunks of
-    4, ..., 4, 1 and large (whose Nt x Nt covariances fill a chunk alone)
-    one at a time."""
+    """The scan on a real normalized channel, as the solvers call it. Under
+    the ideal amplifier desk builds its 25 backoffs in one chunk, full in
+    16 + 9, wide in chunks of 4, ..., 4, 1 and large (whose Nt x Nt
+    covariances fill a chunk alone) one at a time. Under the reference
+    amplifier only the 19 backoffs outside ``POW2_BACKOFFS`` are built:
+    desk in one chunk, full in 16 + 3, wide in 4, 4, 4, 4, 3 and large one
+    at a time; the other 6 derive their distortion powers."""
     for name, make_config in CONFIGS.items():
         cfg = make_config(rng_seed=1)
         H, sigma2 = normalized(cfg)
@@ -218,13 +223,15 @@ def test_solver_start_point_equals_loop():
 
 
 @pytest.mark.parametrize("name, calls", [
-    ("desk", 2), ("full", 4), ("wide", 14), ("large", 50)])
+    ("desk", 2), ("full", 4), ("wide", 10), ("large", 38)])
 def test_scan_makes_one_contribution_call_per_chunk(name, calls, monkeypatch):
+    """Each shape builds its 19 directly computed backoffs in chunks."""
     cfg = CONFIGS[name](rng_seed=1)
     H, sigma2 = normalized(cfg)
     B, Nt, _ = H.shape
     per = max(1, SCAN_STACK_BYTES // (B * Nt * Nt * 16))
-    assert calls == 2 * -(-(2 * NUM_HALVINGS + 1) // per)
+    direct = 2 * NUM_HALVINGS + 1 - len(POW2_BACKOFFS)
+    assert calls == 2 * -(-direct // per)
     seen = []
     contribution = fp_core.bs_contribution
 
@@ -236,3 +243,61 @@ def test_scan_makes_one_contribution_call_per_chunk(name, calls, monkeypatch):
     initial_beamformers(H, cfg.power_budget, PaModel.reference(), sigma2)
     assert len(seen) == calls
     assert all(shape[0] <= per and shape[1:] == H.shape for shape in seen)
+
+
+def test_backoff_table_holds_exact_powers_of_two():
+    assert len(BACKOFF_SCALES) == 2 * NUM_HALVINGS + 1
+    assert BACKOFF_SCALES[0] == 1.0
+    for h in POW2_BACKOFFS:
+        assert BACKOFF_SCALES[h] == 2.0 ** -(h // 4), h
+    assert POW2_BACKOFFS == list(range(4, 2 * NUM_HALVINGS + 1, 4))
+
+
+DERIVED_CONFIGS = {**CONFIGS,
+                   "B7": lambda **kw: full_profile(num_bs=7, **kw)}
+
+
+@pytest.mark.parametrize("dbm", [-20.0, 8.0, 44.0, 80.0])
+@pytest.mark.parametrize("name", list(DERIVED_CONFIGS))
+def test_derived_distortion_equals_direct_contribution(name, dbm):
+    """A power-of-two backoff's distortion powers, derived from the full
+    budget's, equal its own ``bs_contribution``'s byte for byte, on both
+    shapes of a normalized channel under the reference amplifier."""
+    pa = PaModel.reference()
+    for seed in (1, 2):
+        cfg = DERIVED_CONFIGS[name](rng_seed=seed,
+                                    power_budget=dbm_to_watt(dbm))
+        H, _ = normalized(cfg)
+        K = H.shape[-1]
+        gram = np.swapaxes(H.conj(), -1, -2) @ H
+        ridge = 1e-12 * np.trace(gram, axis1=-2, axis2=-1).real / K
+        Z = H @ np.linalg.inv(gram + ridge[:, None, None] * np.eye(K))
+        for cand in (H, Z):
+            W_full = np.sqrt(cfg.power_budget / K) * (
+                cand / np.linalg.norm(cand, axis=-2, keepdims=True))
+            assert common._pow2_exact(H, W_full, pa)
+            p0 = bs_contribution(H, W_full, pa)[1]
+            for h in POW2_BACKOFFS:
+                direct = bs_contribution(H, BACKOFF_SCALES[h] * W_full, pa)[1]
+                assert same(np.ldexp(p0, -6 * (h // 4)), direct), (seed, h)
+
+
+@pytest.mark.parametrize("budget", [1e-250, 1e100])
+def test_out_of_range_budgets_build_every_backoff(budget, monkeypatch):
+    """Beamformers outside ``EXACT_RANGE`` take the direct path, 25
+    contributions per shape, and still equal the loop."""
+    cfg = CONFIGS["full"](rng_seed=1)
+    H, sigma2 = normalized(cfg)
+    pa = PaModel.reference()
+    built = []
+    contribution = fp_core.bs_contribution
+
+    def counted(H_b, W_b, pa):
+        built.append(np.shape(W_b)[0])
+        return contribution(H_b, W_b, pa)
+
+    monkeypatch.setattr(fp_core, "bs_contribution", counted)
+    got = initial_beamformers(H, budget, pa, sigma2)
+    assert sum(built) == 2 * len(BACKOFF_SCALES)
+    monkeypatch.undo()
+    assert same(got, ref.initial_beamformers_loop(H, budget, pa, sigma2))
